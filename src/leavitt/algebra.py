@@ -43,6 +43,7 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _postorder,
     breaking_vertices,
     concat,
     count_paths_into,
@@ -215,16 +216,19 @@ def _require_acyclic_finite(g: Graph, what: str) -> None:
 
 def _paths_to_sinks(g: Graph, v: str) -> list[Path]:
     """All paths from ``v`` to sinks, the length-0 path included when v is a sink."""
-    out = g.out_bundles(v)
-    if not out:
-        return [vertex_path(v)]
-    acc = []
-    for b in out:
-        for tail in _paths_to_sinks(g, b.range):
-            for i in range(b.multiplicity):
-                head = (EdgeRef(b.name, i),)
-                acc.append(Path(edges=head + tail.edges))
-    return acc
+    ending = {}  # vertex -> its paths to sinks
+    for u in _postorder(g._index.succ, v):
+        out = g.out_bundles(u)
+        if not out:
+            ending[u] = [vertex_path(u)]
+            continue
+        ending[u] = [
+            Path(edges=(EdgeRef(b.name, i),) + tail.edges)
+            for b in out
+            for tail in ending[b.range]
+            for i in range(b.multiplicity)
+        ]
+    return ending[v]
 
 
 def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:

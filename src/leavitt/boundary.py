@@ -25,7 +25,7 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
-    bundle_circuits,
+    _least_rotation,
     count_paths_into,
     is_omega,
     is_singular,
@@ -160,25 +160,36 @@ class ClassCensus:
 def _doubled_component(g: Graph) -> bool:
     """True iff some strongly connected component carries two distinct simple cycles.
 
-    Bundle multiplicities count: a circuit through a bundle of
-    multiplicity >= 2 (or omega) already doubles.
+    A strongly connected component of n vertices has at least n internal
+    edges (counted with multiplicity) when it is nontrivial.  With exactly
+    n, every vertex emits one edge inside it, so it is a lone cycle; with
+    more, some vertex emits two, and each closes a different cycle.  An
+    omega bundle counts as two edges.
     """
-    comp_of = {}
-    for i, comp in enumerate(strongly_connected_components(g)):
-        for v in comp:
-            comp_of[v] = i
-    per_comp = {}
-    for circuit in bundle_circuits(g):
-        weight = 1
-        for b in circuit:
-            weight *= 2 if is_omega(b.multiplicity) else b.multiplicity
-            if weight >= 2:
-                weight = 2
-        c = comp_of[circuit[0].source]
-        per_comp[c] = per_comp.get(c, 0) + weight
-        if per_comp[c] >= 2:
-            return True
-    return False
+    comps = strongly_connected_components(g)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    internal = [0] * len(comps)
+    for b in g.bundles:
+        c = comp_of[b.source]
+        if comp_of[b.range] == c:
+            internal[c] += 2 if is_omega(b.multiplicity) else b.multiplicity
+    return any(m > len(comp) for m, comp in zip(internal, comps))
+
+
+def _lone_cycle(g: Graph, comp: tuple[str, ...]) -> tuple[EdgeRef, ...] | None:
+    """The simple cycle of a component without a doubled cycle; None if trivial."""
+    cset = set(comp)
+    refs = []
+    u = comp[0]
+    while True:
+        inside = [b for b in g.out_bundles(u) if b.range in cset]
+        if not inside:
+            return None
+        # not doubled, so this is the only internal bundle, of multiplicity 1
+        refs.append(EdgeRef(inside[0].name, 0))
+        u = inside[0].range
+        if u == comp[0]:
+            return _least_rotation(tuple(refs))
 
 
 def _lone_cycle_class_size(g: Graph, cycle: tuple[EdgeRef, ...]) -> int | None:
@@ -220,14 +231,8 @@ def enumerate_classes(g: Graph) -> ClassCensus:
         if is_singular(g, v):
             rep = BoundaryPath(vertex_path(v), None)
             classes.append(TailClass(rep, count_paths_into(g, v)))
-    cycles = []
-    for circuit in bundle_circuits(g):
-        # no doubled component, so every bundle on a circuit has multiplicity 1
-        refs = tuple(EdgeRef(b.name, 0) for b in circuit)
-        keys = [tuple(e.key() for e in refs[j:] + refs[:j]) for j in range(len(refs))]
-        best = min(range(len(refs)), key=lambda j: keys[j])
-        cycles.append(refs[best:] + refs[:best])
-    cycles.sort(key=lambda c: (len(c), tuple(e.key() for e in c)))
+    lone = (_lone_cycle(g, comp) for comp in strongly_connected_components(g))
+    cycles = sorted((c for c in lone if c), key=lambda c: (len(c), tuple(e.key() for e in c)))
     for cyc in cycles:
         rep = boundary_path(g, vertex_path(g.source_of(cyc[0])), cyc)
         classes.append(TailClass(rep, _lone_cycle_class_size(g, cyc)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -142,9 +143,33 @@ class VertexClass(enum.Enum):
     INFINITE_EMITTER = "infinite-emitter"
 
 
+class _Index:
+    """Name lookups and adjacency of one graph, in declared order."""
+
+    __slots__ = ("position", "by_name", "out", "into", "succ", "pred")
+
+    def __init__(self, g: "Graph"):
+        self.position = {v: i for i, v in enumerate(g.vertices)}
+        self.by_name = {b.name: b for b in g.bundles}
+        out = {v: [] for v in g.vertices}
+        into = {v: [] for v in g.vertices}
+        for b in g.bundles:
+            out[b.source].append(b)
+            into[b.range].append(b)
+        self.out = {v: tuple(bs) for v, bs in out.items()}
+        self.into = {v: tuple(bs) for v, bs in into.items()}
+        self.succ = {v: tuple(b.range for b in bs) for v, bs in self.out.items()}
+        self.pred = {v: tuple(b.source for b in bs) for v, bs in self.into.items()}
+
+
 @dataclass(frozen=True)
 class Graph:
-    """An immutable finitely presented directed multigraph."""
+    """An immutable finitely presented directed multigraph.
+
+    The name index, the adjacency and the strongly connected components
+    are derived once, on first use, and kept on the instance; equality
+    and hashing depend only on ``vertices`` and ``bundles``.
+    """
 
     vertices: tuple[str, ...]
     bundles: tuple[Bundle, ...] = ()
@@ -176,30 +201,57 @@ class Graph:
                     f"bundle {b.name!r}: multiplicity must be a positive integer or omega"
                 )
 
+    # -- derived once per graph --------------------------------------------
+
+    @cached_property
+    def _index(self) -> _Index:
+        return _Index(self)
+
+    @cached_property
+    def _sccs(self) -> tuple[tuple[str, ...], ...]:
+        return _tarjan(self)
+
+    @cached_property
+    def _cyclic(self) -> frozenset:
+        out = self._index.out
+        return frozenset(
+            v
+            for comp in self._sccs
+            for v in comp
+            if len(comp) > 1 or any(b.range == v for b in out[v])
+        )
+
     # -- lookups ---------------------------------------------------------
 
     def vertex_index(self, v: str) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._index.position[v]
+        except (KeyError, TypeError):
             raise UnknownNameError(f"unknown vertex {v!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
+        try:
+            return v in self._index.position
+        except TypeError:
+            return False
 
     def bundle(self, name: str) -> Bundle:
-        for b in self.bundles:
-            if b.name == name:
-                return b
-        raise UnknownNameError(f"unknown bundle {name!r}")
+        try:
+            return self._index.by_name[name]
+        except (KeyError, TypeError):
+            raise UnknownNameError(f"unknown bundle {name!r}") from None
 
     def out_bundles(self, v: str) -> tuple[Bundle, ...]:
-        self.vertex_index(v)
-        return tuple(b for b in self.bundles if b.source == v)
+        try:
+            return self._index.out[v]
+        except (KeyError, TypeError):
+            raise UnknownNameError(f"unknown vertex {v!r}") from None
 
     def in_bundles(self, v: str) -> tuple[Bundle, ...]:
-        self.vertex_index(v)
-        return tuple(b for b in self.bundles if b.range == v)
+        try:
+            return self._index.into[v]
+        except (KeyError, TypeError):
+            raise UnknownNameError(f"unknown vertex {v!r}") from None
 
     # -- edges and paths -------------------------------------------------
 
@@ -320,18 +372,33 @@ def out_degree(g: Graph, v: str) -> Multiplicity:
 # -- reachability ------------------------------------------------------
 
 
+def _postorder(adj: dict, v: str) -> list[str]:
+    """Vertices reachable from ``v`` along ``adj`` (vertex -> neighbours), ``v`` included.
+
+    Each vertex is listed after every neighbour, except one still open on
+    the walk, which happens only on a cycle; so where no cycle is reached
+    the order is children first.  Iterative: no recursion-depth ceiling.
+    """
+    order = []
+    seen = {v}
+    stack = [(v, iter(adj[v]))]
+    while stack:
+        u, it = stack[-1]
+        for w in it:
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            order.append(u)
+    return order
+
+
 def tree_of(g: Graph, v: str) -> tuple[str, ...]:
     """All vertices reachable from ``v`` (including ``v``), in declared order."""
     g.vertex_index(v)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for b in g.out_bundles(u):
-            if b.range not in seen:
-                seen.add(b.range)
-                stack.append(b.range)
-    return tuple(u for u in g.vertices if u in seen)
+    return _ordered(g, _postorder(g._index.succ, v))
 
 
 def _ordered(g: Graph, vs) -> tuple[str, ...]:
@@ -341,24 +408,27 @@ def _ordered(g: Graph, vs) -> tuple[str, ...]:
 
 def _check_subset(g: Graph, hs) -> set:
     h = set(hs)
-    for v in h:
-        g.vertex_index(v)
+    for v in h.difference(g._index.position):
+        g.vertex_index(v)  # raises UnknownNameError
     return h
 
 
 def is_hereditary(g: Graph, h) -> bool:
     """True iff every edge with source in ``h`` has range in ``h``."""
     hset = _check_subset(g, h)
-    return all(b.range in hset for b in g.bundles if b.source in hset)
+    out = g._index.out
+    return all(b.range in hset for v in hset for b in out[v])
 
 
 def is_saturated(g: Graph, h) -> bool:
     """True iff every regular vertex whose outgoing ranges all lie in ``h`` is in ``h``."""
     hset = _check_subset(g, h)
+    out = g._index.out
     for v in g.vertices:
-        if v in hset or classify_vertex(g, v) is not VertexClass.REGULAR:
-            continue
-        if all(b.range in hset for b in g.out_bundles(v)):
+        # a regular vertex emits at least one edge and no omega bundle
+        if v not in hset and out[v] and all(
+            not is_omega(b.multiplicity) and b.range in hset for b in out[v]
+        ):
             return False
     return True
 
@@ -448,76 +518,70 @@ def downward_directed(g: Graph) -> bool:
 # -- strongly connected components and cycles ---------------------------
 
 
-def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """SCC partition, each component ordered, components by first vertex."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adj = {v: sorted({b.range for b in g.out_bundles(v)}, key=index.get) for v in g.vertices}
-    # Tarjan, iterative.
+def _tarjan(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """SCC partition by iterative Tarjan, ordered as ``strongly_connected_components`` says."""
+    index = g._index.position
+    adj = g._index.succ
     low = {}
     disc = {}
     on_stack = set()
     stack = []
     comps = []
-    counter = [0]
-
-    def strongconnect(root):
-        work = [(root, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
+    counter = 0
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in disc:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    disc[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
                 if w in on_stack:
                     low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == disc[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-
-    for v in g.vertices:
-        if v not in disc:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == disc[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     ordered = [tuple(sorted(c, key=index.get)) for c in comps]
     ordered.sort(key=lambda c: index[c[0]])
     return tuple(ordered)
 
 
+def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """SCC partition, each component ordered, components by first vertex.
+
+    Computed once per graph.
+    """
+    return g._sccs
+
+
 def vertices_on_cycles(g: Graph) -> tuple[str, ...]:
     """Vertices lying on at least one cycle."""
-    on = set()
-    for comp in strongly_connected_components(g):
-        cset = set(comp)
-        if len(comp) > 1:
-            on.update(comp)
-        elif any(b.source in cset and b.range in cset for b in g.bundles):
-            on.update(comp)
-    return _ordered(g, on)
+    return _ordered(g, g._cyclic)
 
 
 def has_cycle(g: Graph) -> bool:
-    return bool(vertices_on_cycles(g))
+    return bool(g._cyclic)
 
 
 def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
@@ -525,26 +589,30 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
 
     Each circuit is anchored at its smallest-index vertex, so every
     rotation class appears exactly once.  Parallel edges within a bundle
-    are not expanded here.
+    are not expanded here.  Exponential in general; the census does not
+    use it.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    out = {v: [b for b in g.bundles if b.source == v] for v in g.vertices}
+    index = g._index.position
+    out = g._index.out
     circuits = []
-
-    def dfs(start, v, chain, visited):
-        for b in out[v]:
-            w = b.range
-            if w == start:
-                circuits.append(tuple(chain + [b]))
-            elif index[w] > index[start] and w not in visited:
-                visited.add(w)
-                chain.append(b)
-                dfs(start, w, chain, visited)
-                chain.pop()
-                visited.remove(w)
-
     for s in g.vertices:
-        dfs(s, s, [], {s})
+        chain = []
+        visited = {s}
+        work = [iter(out[s])]
+        while work:
+            for b in work[-1]:
+                w = b.range
+                if w == s:
+                    circuits.append(tuple(chain) + (b,))
+                elif index[w] > index[s] and w not in visited:
+                    visited.add(w)
+                    chain.append(b)
+                    work.append(iter(out[w]))
+                    break
+            else:
+                work.pop()
+                if chain:
+                    visited.remove(chain.pop().range)
     return tuple(circuits)
 
 
@@ -585,23 +653,28 @@ def line_points(g: Graph) -> tuple[str, ...]:
     ``v`` is a line point iff no vertex reachable from it emits two or
     more edges (counting bundle multiplicities; omega counts as two or
     more) and no reachable vertex lies on a cycle.  Every sink is a line
-    point.
+    point.  Equivalently, ``v`` is not on a cycle, emits at most one edge,
+    and its successor, if any, is a line point: one memoised walk along
+    successors decides every vertex in linear time.
     """
-    cyc = set(vertices_on_cycles(g))
-    result = []
+    cyclic = g._cyclic
+    out = g._index.out
+    verdict = {}
     for v in g.vertices:
-        ok = True
-        for w in tree_of(g, v):
-            if w in cyc:
-                ok = False
-                break
-            d = out_degree(g, w)
-            if is_omega(d) or d > 1:
-                ok = False
-                break
-        if ok:
-            result.append(v)
-    return tuple(result)
+        walk = []
+        u = v
+        while u not in verdict:
+            bs = out[u]
+            if not bs:
+                verdict[u] = True
+            elif u in cyclic or len(bs) > 1 or bs[0].multiplicity != 1:
+                verdict[u] = False
+            else:
+                walk.append(u)
+                u = bs[0].range
+        for w in walk:
+            verdict[w] = verdict[u]
+    return tuple(v for v in g.vertices if verdict[v])
 
 
 def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]]:
@@ -626,18 +699,7 @@ def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]
 
 def _ancestors(g: Graph, v: str) -> set:
     """Vertices that reach ``v`` (including ``v``)."""
-    rev = {u: set() for u in g.vertices}
-    for b in g.bundles:
-        rev[b.range].add(b.source)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return set(_postorder(g._index.pred, v))
 
 
 def count_paths_into(g: Graph, v: str) -> int | None:
@@ -647,26 +709,17 @@ def count_paths_into(g: Graph, v: str) -> int | None:
     passes through an ancestor of ``v`` or an omega bundle lands on one.
     """
     g.vertex_index(v)
-    anc = _ancestors(g, v)
-    cyc = set(vertices_on_cycles(g))
-    if anc & cyc:
+    into = g._index.into
+    order = _postorder(g._index.pred, v)
+    if not g._cyclic.isdisjoint(order):
         return None
-    for b in g.bundles:
-        if b.range in anc and is_omega(b.multiplicity):
-            return None
-    memo = {}
-
-    def count_from(u):
-        if u in memo:
-            return memo[u]
-        total = 1 if u == v else 0
-        for b in g.out_bundles(u):
-            if b.range in anc:
-                total += b.multiplicity * count_from(b.range)
-        memo[u] = total
-        return total
-
-    return sum(count_from(u) for u in anc)
+    if any(is_omega(b.multiplicity) for u in order for b in into[u]):
+        return None
+    # order lists every vertex after the sources of its incoming bundles
+    count = {}
+    for u in order:
+        count[u] = 1 + sum(b.multiplicity * count[b.source] for b in into[u])
+    return count[v]
 
 
 def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
@@ -678,24 +731,13 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
         raise NotFinitelyPresentableError(
             f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
         )
-    anc = _ancestors(g, v)
-    memo = {}
-
-    def into(u):
-        # paths from u to v, as edge tuples
-        if u in memo:
-            return memo[u]
-        acc = [()] if u == v else []
-        for b in g.out_bundles(u):
-            if b.range not in anc:
-                continue
-            for tail in into(b.range):
-                acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
-        memo[u] = acc
-        return acc
-
-    paths = []
-    for u in anc:
-        for edges in into(u):
-            paths.append(vertex_path(v) if not edges else Path(edges=edges))
-    return tuple(sorted(set(paths), key=path_key))
+    into = g._index.into
+    ending = {}  # vertex -> edge tuples of the paths ending there
+    for u in _postorder(g._index.pred, v):
+        acc = [()]
+        for b in into[u]:
+            for head in ending[b.source]:
+                acc.extend(head + (EdgeRef(b.name, i),) for i in range(b.multiplicity))
+        ending[u] = acc
+    paths = (Path(edges=e) if e else vertex_path(v) for e in ending[v])
+    return tuple(sorted(paths, key=path_key))

@@ -18,6 +18,7 @@ from .graph import (
     Bundle,
     Graph,
     Path,
+    _ancestors,
     breaking_vertices,
     count_paths_into,
     is_hereditary,
@@ -134,7 +135,7 @@ def ideal_graph(g: Graph, h) -> Graph:
                 "the ideal graph would be infinite"
             )
         if count_paths_into(g, b.source) is None:
-            witness = sorted(set(vertices_on_cycles(g)) & _ancestors_of(g, b.source))
+            witness = sorted(set(vertices_on_cycles(g)) & _ancestors(g, b.source))
             if witness:
                 reason = f"a cycle through {witness[0]!r} reaches the saturation"
             else:
@@ -156,21 +157,6 @@ def ideal_graph(g: Graph, h) -> Graph:
         ename = _fresh(name, bundle_names)
         bundles.append(Bundle(ename, name, g.path_range(p), 1))
     return Graph(tuple(kept_vertices) + tuple(n for n, _ in entry_names), tuple(bundles))
-
-
-def _ancestors_of(g: Graph, v: str) -> set:
-    rev = {u: set() for u in g.vertices}
-    for b in g.bundles:
-        rev[b.range].add(b.source)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:

@@ -312,3 +312,33 @@ def test_json_output_is_stable(capsys):
     doc = json.loads(first)
     assert doc["length"] == 3
     assert doc["factors"][1] == {"size": "omega", "line_point": "w"}
+
+
+# -- long inputs ---------------------------------------------------------------
+
+
+def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
+    n = 1500
+    doc = {
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [
+            {"name": f"e{i}", "source": f"v{i}", "range": f"v{i + 1}"}
+            for i in range(n - 1)
+        ],
+    }
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+
+    assert main(["classes", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "case: I",
+        "classes: 1",
+        f"  v{n - 1}: size {n}",
+    ]
+
+    assert main(["naimark", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["holds: yes", "witness: v0", f"lambda size: {n}", f"dimension: {n * n}"]
+
+    assert main(["compseries", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("length: 1\n")
