@@ -731,13 +731,18 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
         raise NotFinitelyPresentableError(
             f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
         )
-    into = g._index.into
-    ending = {}  # vertex -> edge tuples of the paths ending there
-    for u in _postorder(g._index.pred, v):
-        acc = [()]
-        for b in into[u]:
-            for head in ending[b.source]:
-                acc.extend(head + (EdgeRef(b.name, i),) for i in range(b.multiplicity))
-        ending[u] = acc
-    paths = (Path(edges=e) if e else vertex_path(v) for e in ending[v])
+    ancestors = _postorder(g._index.pred, v)
+    anc = set(ancestors)
+    out = g._index.out
+    # Built by prepending, so the paths share their suffixes' edge refs.
+    # Reversed, the order lists every ancestor after the ranges of its bundles.
+    to_v = {}  # ancestor -> edge tuples of its paths to v
+    for u in reversed(ancestors):
+        acc = [()] if u == v else []
+        for b in out[u]:
+            if b.range in anc:
+                for tail in to_v[b.range]:
+                    acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
+        to_v[u] = acc
+    paths = [Path(edges=e) if e else vertex_path(v) for u in ancestors for e in to_v[u]]
     return tuple(sorted(paths, key=path_key))
