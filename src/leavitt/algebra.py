@@ -301,36 +301,50 @@ _COEF_RE = re.compile(r"(\d+)(?:/(\d+))?\*")
 _MONO_RE = re.compile(r"(?:p_([A-Za-z_][A-Za-z0-9_]*)|([A-Za-z0-9_#]+)\.([A-Za-z0-9_#]+)\*)\Z")
 
 
-def _segmentations(g: Graph, text: str) -> list[tuple[EdgeRef, ...]]:
-    """All ways to read ``text`` as a concatenation of edge atoms."""
-    names = sorted({b.name for b in g.bundles}, key=len, reverse=True)
-    memo: dict[int, list[tuple[EdgeRef, ...]]] = {len(text): [()]}
+_INDEX_RE = re.compile(r"#(\d+)")
 
-    def seg(pos: int):
-        if pos in memo:
-            return memo[pos]
-        out = []
-        for name in names:
-            end = pos + len(name)
-            if text[pos:end] != name:
+
+def _segmentations(g: Graph, text: str) -> list[tuple[EdgeRef, ...]]:
+    """All ways to read ``text`` as a concatenation of edge atoms.
+
+    A forward pass finds the atoms starting at each position reachable
+    from the start; a table filled from the right then holds every
+    reading of the rest of the text at each of those positions.  Readings
+    come longest bundle name first, and no recursion limits the length.
+    """
+    names = {b.name for b in g.bundles}
+    lengths = sorted({len(name) for name in names}, reverse=True)
+    end_of_text = len(text)
+    atoms: dict[int, list[tuple[EdgeRef, int]]] = {}
+    todo = [0]
+    while todo:
+        pos = todo.pop()
+        if pos in atoms or pos == end_of_text:
+            continue
+        found = []
+        for length in lengths:
+            end = pos + length
+            name = text[pos:end]
+            if len(name) != length or name not in names:
                 continue
             index = 0
             after = end
             if text[end : end + 1] == "#":
-                m = re.match(r"#(\d+)", text[end:])
+                m = _INDEX_RE.match(text, end)
                 if not m:
                     continue
                 index = int(m.group(1))
-                after = end + m.end()
+                after = m.end()
             elif g.bundle(name).multiplicity != 1:
                 # multiplicity >= 2 always renders its index
                 continue
-            for tail in seg(after):
-                out.append((EdgeRef(name, index),) + tail)
-        memo[pos] = out
-        return out
-
-    return seg(0)
+            found.append((EdgeRef(name, index), after))
+            todo.append(after)
+        atoms[pos] = found
+    table: dict[int, list[tuple[EdgeRef, ...]]] = {end_of_text: [()]}
+    for pos in sorted(atoms, reverse=True):
+        table[pos] = [(ref,) + tail for ref, after in atoms[pos] for tail in table[after]]
+    return table[0]
 
 
 def parse_path(g: Graph, text: str) -> Path:

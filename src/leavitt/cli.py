@@ -7,7 +7,8 @@ Graph documents are JSON objects::
 
 ``multiplicity`` may be omitted (defaults to 1) or the string "omega"
 for a countably infinite bundle.  Exit codes: 0 success, 1 negative
-uniqueness decision (naimark only), 2 any error.
+uniqueness decision (naimark only), 2 any error; an exception no other
+handler names is reported as ``internal: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -124,6 +124,21 @@ def test_parse_path_rejects_ambiguity():
     assert parse_path(g, "e") == Path(edges=(EdgeRef("e", 0),))
 
 
+def test_long_path_parses_without_recursion_limit():
+    n = 1200
+    g = Graph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple(Bundle(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)),
+    )
+    text = "".join(f"e{i}" for i in range(n - 1))
+    p = parse_path(g, text)
+    assert p == Path(edges=tuple(EdgeRef(f"e{i}", 0) for i in range(n - 1)))
+    sink = vertex_path(f"v{n - 1}")
+    x = element([(Monomial(p, sink), Fraction(3, 2)), (Monomial(sink, sink), -1)])
+    assert render_element(g, x) == f"-p_v{n - 1} + 3/2*{text}.v{n - 1}*"
+    assert parse_element(g, render_element(g, x)) == x
+
+
 # -- multiplication --------------------------------------------------------
 
 

@@ -342,3 +342,17 @@ def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
 
     assert main(["compseries", str(path)]) == 0
     assert capsys.readouterr().out.startswith("length: 1\n")
+
+
+# -- exit codes -------------------------------------------------------------------
+
+
+def test_unexpected_exception_exits_2_with_internal_prefix(monkeypatch, capsys):
+    def boom(g, args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr("leavitt.cli.cmd_analyze", boom)
+    assert main(["analyze", "--fixture", "LINE3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal: RuntimeError: something broke\n"
