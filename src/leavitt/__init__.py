@@ -43,8 +43,10 @@ from .graph import (
     breaking_vertices,
     classify_vertex,
     concat,
+    count_entry_paths,
     count_paths_into,
     downward_directed,
+    entry_paths,
     escaping_edges,
     has_cycle,
     is_hereditary,

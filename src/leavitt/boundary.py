@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     Path,
     _least_rotation,
+    count_entry_paths,
     count_paths_into,
     is_omega,
     is_singular,
@@ -192,31 +193,6 @@ def _lone_cycle(g: Graph, comp: tuple[str, ...]) -> tuple[EdgeRef, ...] | None:
             return _least_rotation(tuple(refs))
 
 
-def _lone_cycle_class_size(g: Graph, cycle: tuple[EdgeRef, ...]) -> int | None:
-    """Size of the class of ``cycle``-tailed paths when its SCC is a lone cycle.
-
-    Members correspond to pairs (minimal prefix, rotation); a minimal
-    prefix for rotation d is the vertex path at its source or any path
-    whose last edge enters the source from outside the cycle.
-    """
-    cycle_bundles = {e.bundle for e in cycle}
-    total = 0
-    for i in range(len(cycle)):
-        rotation = cycle[i:] + cycle[:i]
-        start = g.source_of(rotation[0])
-        total += 1
-        for b in g.in_bundles(start):
-            if b.name in cycle_bundles:
-                continue
-            if is_omega(b.multiplicity):
-                return None
-            feeding = count_paths_into(g, b.source)
-            if feeding is None:
-                return None
-            total += b.multiplicity * feeding
-    return total
-
-
 def enumerate_classes(g: Graph) -> ClassCensus:
     """Census of shift-tail classes.
 
@@ -235,7 +211,10 @@ def enumerate_classes(g: Graph) -> ClassCensus:
     cycles = sorted((c for c in lone if c), key=lambda c: (len(c), tuple(e.key() for e in c)))
     for cyc in cycles:
         rep = boundary_path(g, vertex_path(g.source_of(cyc[0])), cyc)
-        classes.append(TailClass(rep, _lone_cycle_class_size(g, cyc)))
+        # a member is a minimal prefix and a rotation: the vertex path at
+        # a cycle vertex, or a path entering the cycle (its SCC) there
+        entries = count_entry_paths(g, [g.source_of(e) for e in cyc])
+        classes.append(TailClass(rep, None if entries is None else len(cyc) + entries))
     return ClassCensus(False, tuple(classes))
 
 

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .algebra import dimension
-from .errors import GraphError, UnsupportedGraphError
+from .errors import GraphError, InternalInvariantError, UnsupportedGraphError
 from .fixtures import FIXTURES
 from .graph import (
     OMEGA,
@@ -42,6 +42,7 @@ from .naimark import composition_series, naimark_decision, trichotomy
 from .repn import (
     build_rho,
     decompose_blocks,
+    lambda_index_set,
     verify_irreducible_block,
     verify_relations,
 )
@@ -203,14 +204,17 @@ def _yes(flag: bool) -> str:
 def cmd_naimark(g: Graph, args) -> int:
     report = naimark_decision(g)
     if args.json:
+        lam = None
+        if report.holds:
+            lam = lambda_index_set(g, report.witness)[2]
+            if len(lam) != report.lam_size:
+                raise InternalInvariantError("the listed index set differs from its count")
         _emit(
             {
                 "holds": report.holds,
                 "condition4": report.condition4,
                 "witness": report.witness,
-                "lambda": None
-                if report.lam is None
-                else [render_path(g, p) for p in report.lam],
+                "lambda": None if lam is None else [render_path(g, p) for p in lam],
                 "lambda_size": report.lam_size,
                 "dimension": report.dimension,
                 "class_count": _size(report.census.count),

@@ -21,7 +21,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import (
     ContractError,
@@ -433,32 +433,49 @@ def is_saturated(g: Graph, h) -> bool:
     return True
 
 
+def _saturation_rounds(g: Graph, h):
+    """Yield the hereditary set ``h``, then the vertices each saturation round adjoins.
+
+    A round adjoins every regular vertex all of whose outgoing edges land
+    in the set so far.  Each regular vertex outside ``h`` counts its
+    bundles still leaving the set and joins the round after that count
+    reaches 0, so all rounds together take O(n + m).
+    """
+    hset = _check_subset(g, h)
+    if not is_hereditary(g, hset):
+        raise ContractError("saturation requires a hereditary set")
+    out = g._index.out
+    leaving = {
+        v: sum(b.range not in hset for b in out[v])
+        for v in g.vertices
+        if v not in hset and out[v] and not any(is_omega(b.multiplicity) for b in out[v])
+    }
+    yield hset
+    adjoined = [v for v, n in leaving.items() if n == 0]
+    while adjoined:
+        yield adjoined
+        joining = []
+        for w in adjoined:
+            for b in g._index.into[w]:
+                if b.source in leaving:
+                    leaving[b.source] -= 1
+                    if leaving[b.source] == 0:
+                        joining.append(b.source)
+        adjoined = joining
+
+
 def saturation_stages(g: Graph, h) -> list[tuple[str, ...]]:
     """Fixed-point stages H0 <= H1 <= ... of the saturation of a hereditary set.
 
     Each round adjoins every regular vertex all of whose outgoing edges
     land in the previous stage.  The last stage is the saturation.
     """
-    hset = _check_subset(g, h)
-    if not is_hereditary(g, hset):
-        raise ContractError("saturation requires a hereditary set")
-    stages = [_ordered(g, hset)]
-    while True:
-        new = set(hset)
-        for v in g.vertices:
-            if v in new or classify_vertex(g, v) is not VertexClass.REGULAR:
-                continue
-            if all(b.range in hset for b in g.out_bundles(v)):
-                new.add(v)
-        if new == hset:
-            return stages
-        hset = new
-        stages.append(_ordered(g, hset))
+    return [_ordered(g, hs) for hs in accumulate(_saturation_rounds(g, h), set.union)]
 
 
 def saturate(g: Graph, h) -> tuple[str, ...]:
     """Smallest saturated set containing the hereditary set ``h``."""
-    return saturation_stages(g, h)[-1]
+    return _ordered(g, set().union(*_saturation_rounds(g, h)))
 
 
 def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
@@ -746,3 +763,55 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
         to_v[u] = acc
     paths = [Path(edges=e) if e else vertex_path(v) for u in ancestors for e in to_v[u]]
     return tuple(sorted(paths, key=path_key))
+
+
+# -- paths entering a vertex set -------------------------------------------
+
+
+def _entering(g: Graph, t) -> list[Bundle]:
+    """The bundles with range in ``t`` and source outside it, in declared order."""
+    tset = _check_subset(g, t)
+    return [b for b in g.bundles if b.range in tset and b.source not in tset]
+
+
+def count_entry_paths(g: Graph, t) -> int | None:
+    """Number of paths whose last edge enters the vertex set ``t`` from outside.
+
+    Each is a path into the source of a bundle entering ``t`` followed by
+    one edge of that bundle.  Returns None when the count is countably
+    infinite: an omega bundle enters ``t`` or a cycle or omega bundle
+    feeds one of those sources.
+    """
+    total = 0
+    for b in _entering(g, t):
+        heads = None if is_omega(b.multiplicity) else count_paths_into(g, b.source)
+        if heads is None:
+            return None
+        total += b.multiplicity * heads
+    return total
+
+
+def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
+    """The paths counted by ``count_entry_paths``, sorted by ``path_key``.
+
+    When they are infinitely many, raises NotFinitelyPresentableError
+    naming a witness; ``what`` names ``t`` in that message.
+    """
+    entries = []
+    for b in _entering(g, t):
+        reason = None
+        if is_omega(b.multiplicity):
+            reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
+        elif count_paths_into(g, b.source) is None:
+            cyclic = sorted(g._cyclic.intersection(_ancestors(g, b.source)))
+            if cyclic:
+                reason = f"a cycle through {cyclic[0]!r} reaches {what}"
+            else:
+                reason = f"an omega bundle feeds the crossing edge {b.name!r}"
+        if reason:
+            raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
+        for head in paths_into(g, b.source):
+            entries.extend(
+                Path(edges=head.edges + (EdgeRef(b.name, i),)) for i in range(b.multiplicity)
+            )
+    return tuple(sorted(entries, key=path_key))

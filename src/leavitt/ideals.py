@@ -13,21 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ContractError, NotFinitelyPresentableError, SizeGuardError
+from .errors import ContractError, SizeGuardError
 from .graph import (
     Bundle,
     Graph,
-    Path,
-    _ancestors,
     breaking_vertices,
-    count_paths_into,
+    entry_paths,
     is_hereditary,
-    is_omega,
     is_saturated,
-    path_key,
-    paths_into,
+    render_path,
     saturate,
-    vertices_on_cycles,
 )
 
 PAIR_ENUMERATION_LIMIT = 20
@@ -107,14 +102,6 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> Graph:
     return quotient_with_map(g, pair)[0]
 
 
-def _ideal_vertex_name(g: Graph, p: Path) -> str:
-    parts = []
-    for e in p.edges:
-        m = g.bundle(e.bundle).multiplicity
-        parts.append(e.bundle if (e.index == 0 and m == 1) else f"{e.bundle}_{e.index}")
-    return "".join(parts)
-
-
 def ideal_graph(g: Graph, h) -> Graph:
     """The graph presenting the ideal generated by the hereditary set ``h``.
 
@@ -126,37 +113,17 @@ def ideal_graph(g: Graph, h) -> Graph:
     hset = set(h)
     if not is_hereditary(g, hset):
         raise ContractError("ideal graphs are built from hereditary sets")
-    hbar = set(saturate(g, hset))
-    crossing = [b for b in g.bundles if b.range in hbar and b.source not in hbar]
-    for b in crossing:
-        if is_omega(b.multiplicity):
-            raise NotFinitelyPresentableError(
-                f"bundle {b.name!r} crosses into the saturation with multiplicity omega; "
-                "the ideal graph would be infinite"
-            )
-        if count_paths_into(g, b.source) is None:
-            witness = sorted(set(vertices_on_cycles(g)) & _ancestors(g, b.source))
-            if witness:
-                reason = f"a cycle through {witness[0]!r} reaches the saturation"
-            else:
-                reason = f"an omega bundle feeds the crossing edge {b.name!r}"
-            raise NotFinitelyPresentableError(f"{reason}; the ideal graph would be infinite")
-    entries = []
-    for b in crossing:
-        for head in paths_into(g, b.source):
-            for i in range(b.multiplicity):
-                edges = head.edges + (g.edge(b.name, i),) if head.length else (g.edge(b.name, i),)
-                entries.append(Path(edges=edges))
-    entries.sort(key=path_key)
-    kept_vertices = [v for v in g.vertices if v in hbar]
-    taken = set(kept_vertices)
-    entry_names = [(_fresh(_ideal_vertex_name(g, p), taken), p) for p in entries]
-    bundles = [b for b in g.bundles if b.source in hbar]
+    hbar = saturate(g, hset)
+    entries = entry_paths(g, hbar, "the saturation")
+    taken = set(hbar)
+    bundles = [b for b in g.bundles if b.source in taken]
+    # bundle names never contain '#', so this keeps entry names valid
+    entry_names = [(_fresh(render_path(g, p).replace("#", "_"), taken), p) for p in entries]
     bundle_names = {b.name for b in bundles}
     for name, p in entry_names:
         ename = _fresh(name, bundle_names)
         bundles.append(Bundle(ename, name, g.path_range(p), 1))
-    return Graph(tuple(kept_vertices) + tuple(n for n, _ in entry_names), tuple(bundles))
+    return Graph(hbar + tuple(n for n, _ in entry_names), tuple(bundles))
 
 
 def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:

@@ -28,15 +28,17 @@ from .graph import (
     tree_of,
 )
 from .ideals import AdmissiblePair, admissible_pair, quotient_with_map
-from .repn import lambda_index_set, lambda_size
+from .repn import lambda_size
+
+
+def _condition4(g: Graph, census: ClassCensus) -> bool:
+    return not has_cycle(g) and census.count == 1
 
 
 def check_condition4(g: Graph) -> bool:
     """No cycles and a single shift-tail class of boundary paths."""
-    if has_cycle(g):
-        return False
-    census = enumerate_classes(g)
-    return census.count == 1
+    # a cycle decides it before any census is taken
+    return not has_cycle(g) and _condition4(g, enumerate_classes(g))
 
 
 def check_condition5(g: Graph) -> str | None:
@@ -57,7 +59,6 @@ class NaimarkReport:
     census: ClassCensus
     witness: str | None
     saturation_chain: tuple[tuple[str, ...], ...] | None
-    lam: tuple | None
     lam_size: int | None
     dimension: int | None
 
@@ -65,28 +66,28 @@ class NaimarkReport:
 def naimark_decision(g: Graph) -> NaimarkReport:
     """Evaluate both equivalent conditions and cross-check them.
 
-    When positive, also materializes the matrix-unit index set of the
-    witness and the dimension identity dim = |Lambda|^2.  A positive
+    When positive, also counts the matrix-unit index set of the witness
+    and checks the dimension identity dim = |Lambda|^2.  A positive
     graph never has infinite emitters (an omega bundle forces either a
     second class or a cycle), so the index set is always finite here.
     """
     from .algebra import dimension
 
-    c4 = check_condition4(g)
+    census = enumerate_classes(g)
+    c4 = _condition4(g, census)
     witness = check_condition5(g)
     if c4 != (witness is not None):
         raise InternalInvariantError(
             "single-class condition and line-point condition disagree"
         )
-    census = enumerate_classes(g)
     if witness is None:
-        return NaimarkReport(False, c4, census, None, None, None, None, None)
+        return NaimarkReport(False, c4, census, None, None, None, None)
     chain = tuple(saturation_stages(g, tree_of(g, witness)))
-    _, _, lam = lambda_index_set(g, witness)
+    lam_size = lambda_size(g, witness)
     dim = dimension(g)
-    if dim != len(lam) ** 2:
+    if lam_size is None or dim != lam_size ** 2:
         raise InternalInvariantError("dimension is not |Lambda|^2")
-    return NaimarkReport(True, c4, census, witness, chain, lam, len(lam), dim)
+    return NaimarkReport(True, c4, census, witness, chain, lam_size, dim)
 
 
 @dataclass(frozen=True)

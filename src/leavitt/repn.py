@@ -24,18 +24,14 @@ from .algebra import (
     dimension,
     multiply_monomials,
 )
-from .errors import (
-    ContractError,
-    InternalInvariantError,
-    NotFinitelyPresentableError,
-    UnsupportedGraphError,
-)
+from .errors import ContractError, InternalInvariantError, UnsupportedGraphError
 from .graph import (
     EdgeRef,
     Graph,
     Path,
     concat,
-    count_paths_into,
+    count_entry_paths,
+    entry_paths,
     has_cycle,
     is_omega,
     line_through,
@@ -365,42 +361,15 @@ def lambda_index_set(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, 
     already ends on the line).  Raises when the set is infinite.
     """
     chain, edges = line_through(g, v)
-    tset = set(chain)
-    entering = []
-    for w in chain:
-        for b in g.in_bundles(w):
-            if b.source in tset:
-                continue
-            if is_omega(b.multiplicity):
-                raise NotFinitelyPresentableError(
-                    f"omega bundle {b.name!r} feeds the line at {w!r}; "
-                    "the matrix-unit index set is infinite"
-                )
-            heads = paths_into(g, b.source)
-            for head in heads:
-                for i in range(b.multiplicity):
-                    entering.append(Path(edges=head.edges + (EdgeRef(b.name, i),)))
-    entering.sort(key=path_key)
-    lam = tuple(vertex_path(w) for w in chain) + tuple(entering)
+    lam = tuple(vertex_path(w) for w in chain) + entry_paths(g, chain, "the line")
     return chain, edges, lam
 
 
 def lambda_size(g: Graph, v: str) -> int | None:
     """|Lambda| for the line point ``v``; None when countably infinite."""
     chain, _ = line_through(g, v)
-    tset = set(chain)
-    total = len(chain)
-    for w in chain:
-        for b in g.in_bundles(w):
-            if b.source in tset:
-                continue
-            if is_omega(b.multiplicity):
-                return None
-            heads = count_paths_into(g, b.source)
-            if heads is None:
-                return None
-            total += b.multiplicity * heads
-    return total
+    entries = count_entry_paths(g, chain)
+    return None if entries is None else len(chain) + entries
 
 
 def matrix_units(g: Graph, v: str) -> MatrixUnitSystem:

@@ -344,6 +344,23 @@ def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("length: 1\n")
 
 
+def test_text_naimark_never_lists_lambda(monkeypatch, capsys):
+    expected = {}
+    for name in FIXTURES:
+        code = main(["naimark", "--fixture", name])
+        expected[name] = code, capsys.readouterr()
+
+    def refuse(g, v):
+        raise AssertionError("text mode listed Lambda")
+
+    for module in ("leavitt.repn", "leavitt.naimark", "leavitt.cli"):
+        monkeypatch.setattr(f"{module}.lambda_index_set", refuse, raising=False)
+    for name in FIXTURES:
+        code = main(["naimark", "--fixture", name])
+        assert (code, capsys.readouterr()) == expected[name]
+    assert expected["LINE3"][0] == 0
+
+
 # -- exit codes -------------------------------------------------------------------
 
 

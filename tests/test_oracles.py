@@ -12,7 +12,15 @@ products of matrix units, s_e* s_f for every pair of edges, and orbits and
 intertwiner constraints over every generator of the representation.  Those
 loops are kept here too, with a sympy rank computation for the intertwiner
 spaces, and compared with the output-sized checks of ``leavitt.repn``.
+
+Lambda, the entry vertices of an ideal graph and the size of a lone-cycle
+class each had their own loop over the bundles entering a vertex set;
+saturation rescanned every vertex each round.  Those loops are kept here
+and compared with ``count_entry_paths``/``entry_paths`` and the
+counter-based saturation rounds on the same hypothesis graphs.
 """
+
+import time
 
 import pytest
 
@@ -25,26 +33,34 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from leavitt.algebra import Monomial, multiply_monomials  # noqa: E402
 from leavitt.boundary import _doubled_component, enumerate_classes  # noqa: E402
-from leavitt.errors import InternalInvariantError  # noqa: E402
+from leavitt.errors import InternalInvariantError, NotFinitelyPresentableError  # noqa: E402
 from leavitt.graph import (  # noqa: E402
     OMEGA,
     Bundle,
     EdgeRef,
     Graph,
     Path,
+    VertexClass,
     _least_rotation,
     bundle_circuits,
+    classify_vertex,
+    count_entry_paths,
     count_paths_into,
+    entry_paths,
     has_cycle,
     is_omega,
     line_points,
+    line_through,
     out_degree,
     path_key,
     paths_into,
+    saturate,
+    saturation_stages,
     strongly_connected_components,
     tree_of,
     vertices_on_cycles,
 )
+from leavitt.ideals import _fresh, ideal_graph  # noqa: E402
 from leavitt.naimark import check_condition5  # noqa: E402
 from leavitt.repn import (  # noqa: E402
     _collapse_line_tail,
@@ -53,6 +69,7 @@ from leavitt.repn import (  # noqa: E402
     build_rho,
     hom_space_dim,
     lambda_index_set,
+    lambda_size,
     matrix_units,
     verify_irreducible_block,
     verify_relations,
@@ -481,3 +498,180 @@ def test_relation_checks_reject_overlapping_images():
         verify_relations(R)
     with pytest.raises(InternalInvariantError, match="s_e\\* s_f"):
         pairwise_relations(R)
+
+
+# -- entry paths and saturation: the loops they replaced ---------------------------
+
+
+def round_loop_saturation_stages(g, h):
+    """Each round rescans every vertex for regular ones whose edges all land in H."""
+    hset = set(h)
+    stages = [tuple(v for v in g.vertices if v in hset)]
+    while True:
+        new = set(hset)
+        for v in g.vertices:
+            if v in new or classify_vertex(g, v) is not VertexClass.REGULAR:
+                continue
+            if all(b.range in hset for b in g.out_bundles(v)):
+                new.add(v)
+        if new == hset:
+            return stages
+        hset = new
+        stages.append(tuple(v for v in g.vertices if v in hset))
+
+
+def lone_cycle_class_size(g, cycle):
+    """Per rotation: the vertex path at its start plus every path entering it there."""
+    cycle_bundles = {e.bundle for e in cycle}
+    total = 0
+    for i in range(len(cycle)):
+        start = g.source_of(cycle[i])
+        total += 1
+        for b in g.in_bundles(start):
+            if b.name in cycle_bundles:
+                continue
+            if is_omega(b.multiplicity):
+                return None
+            feeding = count_paths_into(g, b.source)
+            if feeding is None:
+                return None
+            total += b.multiplicity * feeding
+    return total
+
+
+def ideal_vertex_name(g, p):
+    parts = []
+    for e in p.edges:
+        m = g.bundle(e.bundle).multiplicity
+        parts.append(e.bundle if (e.index == 0 and m == 1) else f"{e.bundle}_{e.index}")
+    return "".join(parts)
+
+
+def crossing_loop_ideal_graph(g, h):
+    """The ideal graph from its own crossing loop; None where it would be infinite."""
+    hbar = set(saturate(g, h))
+    crossing = [b for b in g.bundles if b.range in hbar and b.source not in hbar]
+    for b in crossing:
+        if is_omega(b.multiplicity) or count_paths_into(g, b.source) is None:
+            return None
+    entries = []
+    for b in crossing:
+        for head in paths_into(g, b.source):
+            for i in range(b.multiplicity):
+                entries.append(Path(edges=head.edges + (g.edge(b.name, i),)))
+    entries.sort(key=path_key)
+    kept = [v for v in g.vertices if v in hbar]
+    taken = set(kept)
+    entry_names = [(_fresh(ideal_vertex_name(g, p), taken), p) for p in entries]
+    bundles = [b for b in g.bundles if b.source in hbar]
+    bundle_names = {b.name for b in bundles}
+    for name, p in entry_names:
+        bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))
+    return Graph(tuple(kept) + tuple(n for n, _ in entry_names), tuple(bundles))
+
+
+def line_entry_loop(g, v):
+    """Lambda of a line point from its own loop over the line's in-bundles; None if infinite."""
+    chain, _ = line_through(g, v)
+    tset = set(chain)
+    entering = []
+    for w in chain:
+        for b in g.in_bundles(w):
+            if b.source in tset:
+                continue
+            if is_omega(b.multiplicity) or count_paths_into(g, b.source) is None:
+                return None
+            for head in paths_into(g, b.source):
+                for i in range(b.multiplicity):
+                    entering.append(Path(edges=head.edges + (EdgeRef(b.name, i),)))
+    entering.sort(key=path_key)
+    return tuple(Path(vertex=w) for w in chain) + tuple(entering)
+
+
+def vertex_sets(g):
+    """Each vertex, each tree, each tree's saturation and each SCC."""
+    sets = {frozenset(c) for c in strongly_connected_components(g)}
+    for v in g.vertices:
+        tree = tree_of(g, v)
+        sets.update((frozenset({v}), frozenset(tree), frozenset(saturate(g, tree))))
+    return sorted(sets, key=lambda s: sorted(s))
+
+
+LISTING_LIMIT = 2000
+
+
+@SETTINGS
+@given(graphs())
+def test_saturation_matches_round_loop(g):
+    for h in [()] + [tree_of(g, v) for v in g.vertices]:
+        stages = saturation_stages(g, h)
+        assert stages == round_loop_saturation_stages(g, h)
+        assert saturate(g, h) == stages[-1]
+
+
+def test_sink_first_line_saturates_in_linear_time():
+    # declared sink first, the sink's tree saturates one vertex per round;
+    # a rescan of every vertex per round took seconds here
+    n = 2000
+    vs = tuple(f"v{i}" for i in reversed(range(n)))
+    g = Graph(vs, tuple(Bundle(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)))
+    start = time.perf_counter()
+    assert check_condition5(g) == f"v{n - 1}"
+    assert saturate(g, (f"v{n - 1}",)) == vs
+    assert time.perf_counter() - start < 1.0
+
+
+@SETTINGS
+@given(graphs())
+def test_entry_count_matches_listing(g):
+    for t in vertex_sets(g):
+        n = count_entry_paths(g, t)
+        if n is None:
+            with pytest.raises(NotFinitelyPresentableError):
+                entry_paths(g, t, "the set")
+        elif n <= LISTING_LIMIT:
+            listed = entry_paths(g, t, "the set")
+            assert len(listed) == n
+            assert list(listed) == sorted(listed, key=path_key)
+
+
+@SETTINGS
+@given(graphs())
+def test_census_class_sizes_match_lone_cycle_loop(g):
+    for c in enumerate_classes(g).classes:
+        if c.representative.cycle:
+            assert c.size == lone_cycle_class_size(g, c.representative.cycle)
+
+
+@SETTINGS
+@given(graphs())
+def test_ideal_graph_matches_crossing_loop(g):
+    for v in g.vertices:
+        h = tree_of(g, v)
+        n = count_entry_paths(g, saturate(g, h))
+        if n is not None and n > LISTING_LIMIT:
+            continue
+        expected = crossing_loop_ideal_graph(g, h)
+        if expected is None:
+            with pytest.raises(NotFinitelyPresentableError):
+                ideal_graph(g, h)
+        else:
+            assert ideal_graph(g, h) == expected
+
+
+@SETTINGS
+@given(graphs())
+def test_lambda_matches_line_entry_loop(g):
+    for v in line_points(g):
+        size = lambda_size(g, v)
+        assert size == count_paths_into(g, line_through(g, v)[0][-1])
+        if size is not None and size > LISTING_LIMIT:
+            continue
+        expected = line_entry_loop(g, v)
+        if expected is None:
+            assert size is None
+            with pytest.raises(NotFinitelyPresentableError):
+                lambda_index_set(g, v)
+        else:
+            assert size == len(expected)
+            assert lambda_index_set(g, v)[2] == expected
