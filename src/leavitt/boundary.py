@@ -168,7 +168,7 @@ def _doubled_component(g: Graph) -> bool:
     omega bundle counts as two edges.
     """
     comps = strongly_connected_components(g)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_of = g._comp_of
     internal = [0] * len(comps)
     for b in g.bundles:
         c = comp_of[b.source]

@@ -212,6 +212,10 @@ class Graph:
         return _tarjan(self)
 
     @cached_property
+    def _comp_of(self) -> dict[str, int]:
+        return {v: i for i, comp in enumerate(self._sccs) for v in comp}
+
+    @cached_property
     def _cyclic(self) -> frozenset:
         out = self._index.out
         return frozenset(
@@ -522,14 +526,15 @@ def escaping_edges(g: Graph, h, v: str) -> tuple[EdgeRef, ...]:
 
 
 def downward_directed(g: Graph) -> bool:
-    """True iff any two vertices have a common descendant (paths may be trivial)."""
-    trees = {v: set(tree_of(g, v)) for v in g.vertices}
-    vs = g.vertices
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not (trees[vs[i]] & trees[vs[j]]):
-                return False
-    return True
+    """True iff any two vertices have a common descendant (paths may be trivial).
+
+    Every vertex reaches a terminal strongly connected component (one no
+    edge leaves), and two terminal components share no descendant, so
+    this holds iff there is at most one terminal component: O(n + m).
+    """
+    comp = g._comp_of
+    left = {comp[b.source] for b in g.bundles if comp[b.source] != comp[b.range]}
+    return len(g._sccs) - len(left) <= 1
 
 
 # -- strongly connected components and cycles ---------------------------
@@ -606,13 +611,18 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
 
     Each circuit is anchored at its smallest-index vertex, so every
     rotation class appears exactly once.  Parallel edges within a bundle
-    are not expanded here.  Exponential in general; the census does not
-    use it.
+    are not expanded here.  A circuit stays inside one strongly connected
+    component, so the walks start on cycles and stay in their component;
+    an acyclic graph costs O(n + m).  Exponential in general; the census
+    does not use it.
     """
     index = g._index.position
     out = g._index.out
+    comp = g._comp_of
     circuits = []
     for s in g.vertices:
+        if s not in g._cyclic:
+            continue
         chain = []
         visited = {s}
         work = [iter(out[s])]
@@ -621,7 +631,7 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
                 w = b.range
                 if w == s:
                     circuits.append(tuple(chain) + (b,))
-                elif index[w] > index[s] and w not in visited:
+                elif comp[w] == comp[s] and index[w] > index[s] and w not in visited:
                     visited.add(w)
                     chain.append(b)
                     work.append(iter(out[w]))

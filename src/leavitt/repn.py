@@ -21,10 +21,10 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     Monomial,
+    _require_acyclic_finite,
     dimension,
-    multiply_monomials,
 )
-from .errors import ContractError, InternalInvariantError, UnsupportedGraphError
+from .errors import ContractError, InternalInvariantError
 from .graph import (
     EdgeRef,
     Graph,
@@ -32,15 +32,11 @@ from .graph import (
     concat,
     count_entry_paths,
     entry_paths,
-    has_cycle,
-    is_omega,
     line_through,
     path_key,
     paths_into,
     render_edge_ref,
     saturate,
-    starts_with,
-    strip_prefix,
     tree_of,
     vertex_path,
 )
@@ -58,10 +54,7 @@ class BoundaryRepresentation:
     """
 
     def __init__(self, g: Graph):
-        if any(is_omega(b.multiplicity) for b in g.bundles):
-            raise UnsupportedGraphError("the representation requires finite multiplicities")
-        if has_cycle(g):
-            raise UnsupportedGraphError("the representation requires an acyclic graph")
+        _require_acyclic_finite(g, "the representation")
         self.graph = g
         sinks = [v for v in g.vertices if not g.out_bundles(v)]
         basis: list[Path] = []
@@ -192,21 +185,25 @@ def verify_relations(R: BoundaryRepresentation) -> None:
 
 
 def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fraction, ...], ...]:
-    """Dense matrix of an algebra element in the representation."""
+    """Dense matrix of an algebra element in the representation.
+
+    s_alpha s_beta* sends each basis path beta r to alpha r and kills the
+    others.  The paths r are the basis paths starting at the range of
+    beta, the domain of its vertex projection, so each term visits only
+    those instead of testing every basis path for the prefix beta.
+    """
     g = R.graph
-    n = len(R.basis)
+    basis, index = R.basis, R.index
+    n = len(basis)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for m, c in x.terms:
         g.check_path(m.alpha)
         g.check_path(m.beta)
-        for j, delta in enumerate(R.basis):
-            if not starts_with(g, delta, m.beta):
-                continue
-            rest = strip_prefix(g, delta, m.beta)
-            gamma = concat(m.alpha, rest)
-            i = R.index.get(gamma)
+        for j in R._maps[f"p_{g.path_range(m.beta)}"]:
+            rest = basis[j]
+            i = index.get(concat(m.alpha, rest))
             if i is not None:
-                rows[i][j] += c
+                rows[i][index[concat(m.beta, rest)]] += c
     return tuple(tuple(r) for r in rows)
 
 
@@ -340,17 +337,35 @@ class MatrixUnitSystem:
     """Matrix units e_{alpha,beta} indexed by the entry paths of a line point.
 
     ``lam`` lists the index set: the line vertices (as length-0 paths)
-    followed by the paths entering the line from outside; ``grid[i][j]``
-    is the unit for (lam[i], lam[j]).  All units are single monomials.
+    followed by the paths entering the line from outside; ``at[i]`` is
+    the line position where lam[i] ends.  Each unit is a single monomial,
+    built on demand by ``monomial_of``.
     """
 
     line: tuple[str, ...]
     line_edges: tuple[EdgeRef, ...]
     lam: tuple[Path, ...]
-    grid: tuple[tuple[AlgebraElement, ...], ...]
+    at: tuple[int, ...]
 
     def unit(self, i: int, j: int) -> AlgebraElement:
-        return self.grid[i][j]
+        # a single term with coefficient one is already in normal form
+        return AlgebraElement(((monomial_of(self, i, j), Fraction(1)),))
+
+
+def monomial_of(sys: MatrixUnitSystem, i: int, j: int) -> Monomial:
+    """The monomial of unit (i, j), by the construction's shape.
+
+    For lam_i, lam_j ending at line positions a <= b it is
+    s_(lam_i mu) s_lam_j* with mu the line path from a to b; for a > b
+    it is the adjoint shape s_lam_i s_(lam_j mu)*.
+    """
+    a, b = sys.at[i], sys.at[j]
+    alpha, beta = sys.lam[i], sys.lam[j]
+    if a < b:
+        alpha = concat(alpha, Path(edges=sys.line_edges[a:b]))
+    elif a > b:
+        beta = concat(beta, Path(edges=sys.line_edges[b:a]))
+    return Monomial(alpha, beta)
 
 
 def lambda_index_set(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...], tuple[Path, ...]]:
@@ -375,129 +390,112 @@ def lambda_size(g: Graph, v: str) -> int | None:
 def matrix_units(g: Graph, v: str) -> MatrixUnitSystem:
     """Build and verify the matrix units of the ideal generated by a line point.
 
-    For entry paths alpha, beta ending at line positions i <= j the unit
-    is s_(alpha mu) s_beta* with mu the line path from i to j (the
-    adjoint shape when i > j).  All delta relations and the star relation
-    are verified symbolically before returning (see ``_verify_unit_grid``).
+    The units are the monomials of ``monomial_of``; ``_verify_units``
+    certifies e_ij* = e_ji and e_ij e_kl = delta_jk e_il before the
+    system is returned.
     """
     chain, edges, lam = lambda_index_set(g, v)
-    monos = _unit_grid(g, chain, edges, lam)
-    _verify_unit_grid(g, chain, edges, lam, monos)
-    # a single term with coefficient one is already in normal form
-    one = Fraction(1)
-    grid = tuple(tuple(AlgebraElement(((m, one),)) for m in row) for row in monos)
-    return MatrixUnitSystem(chain, edges, lam, grid)
+    return MatrixUnitSystem(chain, edges, lam, _verify_units(g, chain, edges, lam))
 
 
-def _unit_grid(g: Graph, chain, edges, lam) -> tuple[tuple[Monomial, ...], ...]:
-    """The unit monomial for every pair of ``lam``, by the construction's shape.
+def _verify_units(g: Graph, chain, edges, lam) -> tuple[int, ...]:
+    """Certify that the construction's monomials over ``lam`` are matrix units.
 
-    For alpha, beta ending at line positions i <= j the unit is
-    s_(alpha mu) s_beta* with mu the line path from i to j; for i > j it
-    is the adjoint shape s_alpha s_(beta mu)*.
-    """
-    pos = {w: i for i, w in enumerate(chain)}
-    at = [pos[g.path_range(p)] for p in lam]
-    rows = []
-    for pa, i in zip(lam, at):
-        row = []
-        for pb, j in zip(lam, at):
-            if i < j:
-                row.append(Monomial(concat(pa, Path(edges=edges[i:j])), pb))
-            elif i == j:
-                row.append(Monomial(pa, pb))
-            else:
-                row.append(Monomial(pa, concat(pb, Path(edges=edges[j:i]))))
-        rows.append(tuple(row))
-    return tuple(rows)
+    ``chain`` and ``edges`` are the line w_0 -> ... -> w_(k-1) and
+    ``lam`` the index set with the line vertices first.  Returns the line
+    position of each member.  The checks cost O(|line|) plus
+    O(|lam| log |lam|) comparisons of paths:
 
-
-def _verify_unit_grid(g: Graph, chain, edges, lam, grid) -> None:
-    """Certify that a grid of monomials is a system of matrix units over ``lam``.
-
-    ``chain`` and ``edges`` are the line, ``lam`` the index set with the
-    line vertices first, and ``grid[i][j]`` the monomial of unit (i, j).
-    The certificate is the star symmetry e_ij* = e_ji and the delta rule
-    e_ij e_kl = delta_jk e_il, where a product is reduced by contracting
-    a shared line tail (``_collapse_line_tail``).  Instead of forming all
-    |lam|^4 products it checks, in O(|lam|^2 |line| + |line|^3):
-
+    (L) the line vertices are distinct, each w_p with p < k-1 emits
+        exactly one edge, ``edges[p]``, which lands on w_(p+1), and
+        w_(k-1) is a sink;
     (a) the members of ``lam`` are pairwise incomparable (neither is a
-        prefix of the other);
-    (b) no member ends in a line edge;
-    (c) every unit has the construction's shape, s_(lam_i mu) s_lam_j*
-        with mu the line path from the range of lam_i to that of lam_j,
-        or the adjoint shape when lam_i ranges further down the line;
-    (d) the delta rule e_ij e_jl = e_il on the line block, the units
-        whose indices are the line vertices themselves.
+        prefix of the other).  Sorted by source and then edge keys, a
+        path sorts before its extensions and everything between them
+        extends it too, so a comparable pair exists iff two neighbours
+        are comparable;
+    (b) every member ends on the line, and not in a line edge.
 
-    Why this is the whole delta rule.  By (c) the right path of e_ij is
-    lam_j x and the left path of e_kl is lam_k y for line paths x, y.
-    Their product is nonzero iff one of these is a prefix of the other,
-    and then lam_j and lam_k are both prefixes of the longer path, hence
-    comparable; so (a) makes every product with j != k vanish, and (a)
-    is needed, since comparable lam_j, lam_k give a nonzero e_jj e_kk.
-    For j = k the product strips lam_j from both sides and leaves
-    s_(lam_i mu) s_(lam_l nu)* with mu, nu line paths to the furthest of
-    the three line positions; the contraction then removes shared line
-    edges down to the nearer of the positions of lam_i and lam_l, where
-    one side is lam_i or lam_l itself, and by (b) it stops there.  Every
-    step depends only on the three line positions, with lam_i and lam_l
-    as opaque prefixes, so the product is e_il iff the line-block product
-    for the same positions is, which (d) checks.  (b) is needed too: a
-    member lam = nu e with e a line edge makes e_ii e_ii contract past
-    lam.  So on grids of the construction's shape this check and the
-    exhaustive one give the same verdict.
+    Why this is the whole delta rule.  Write L[a:m] for the line path
+    from w_a to w_m (the vertex w_a when a = m) and a_i for the position
+    of lam_i.  Unit (i, j) is s_(lam_i L[a_i:m]) s_(lam_j L[a_j:m])* with
+    m = max(a_i, a_j), so e_ij* = e_ji holds by construction.  By (L)
+    each line vertex but the last emits only its line edge e, so its
+    summation relation reads p = s_e s_e*, and s_(x e) s_(y e)* = s_x s_y*
+    contracts a shared line tail; the formula with any m >= max(a_i, a_j)
+    is therefore e_ij too.  The right path of e_ij is lam_j x and the left
+    path of e_kl is lam_k y for line paths x, y.  Their product is nonzero
+    iff one of these is a prefix of the other, and then lam_j and lam_k
+    are both prefixes of the longer path, hence comparable; so (a) makes
+    every product with j != k vanish.  For j = k, x and y both run down
+    the one line from w_(a_j), so the shorter is a prefix of the longer,
+    and the product is s_(lam_i L[a_i:M]) s_(lam_l L[a_l:M])* with M the
+    furthest of the three positions, which is e_il.  Contracting its
+    shared tail one line edge at a time, as the exhaustive check does,
+    stops exactly at e_il: at max(a_i, a_l) one side is lam_i or lam_l
+    itself, which by (b) does not end in a line edge.  Conversely a
+    comparable pair lam_j, lam_k gives a nonzero e_jj e_kk, a member
+    nu e ending in a line edge makes e_ii e_ii contract past it, and
+    without (L) the contraction is not a relation of the algebra.  So
+    this check and the exhaustive |lam|^4 one give the same verdict.
 
     Raises InternalInvariantError naming the first failure.
     """
-    n = len(lam)
-    pos = {w: i for i, w in enumerate(chain)}
+    k = len(chain)
+    pos = {w: p for p, w in enumerate(chain)}
+    if len(pos) != k or len(edges) != k - 1:
+        raise InternalInvariantError("the line repeats a vertex or miscounts its edges")
+    for p, w in enumerate(chain[:-1]):
+        out = g.out_bundles(w)
+        if (
+            len(out) != 1
+            or out[0].multiplicity != 1
+            or EdgeRef(out[0].name, 0) != edges[p]
+            or out[0].range != chain[p + 1]
+        ):
+            raise InternalInvariantError(
+                f"line vertex {w!r} does not emit exactly one edge, to {chain[p + 1]!r}"
+            )
+    if g.out_bundles(chain[-1]):
+        raise InternalInvariantError(f"the line ends at {chain[-1]!r}, which is not a sink")
+    if lam[:k] != tuple(vertex_path(w) for w in chain):
+        raise InternalInvariantError("the index set does not start with the line")
     line_edges = set(edges)
-    for i in range(n):
-        row = grid[i]
-        for j in range(n):
-            m = row[j]
-            if Monomial(m.beta, m.alpha) != grid[j][i]:
-                raise InternalInvariantError("matrix units are not star symmetric")
-    for j in range(n):
-        for k in range(j + 1, n):
-            if starts_with(g, lam[j], lam[k]) or starts_with(g, lam[k], lam[j]):
-                raise InternalInvariantError(
-                    f"unit product ({j},{j})({k},{k}) should vanish: "
-                    "index paths are comparable"
-                )
+    at = []
     for i, p in enumerate(lam):
         if p.length and p.edges[-1] in line_edges:
             raise InternalInvariantError(f"index path {i} ends in a line edge")
-        if g.path_range(p) not in pos:
+        a = pos.get(g.path_range(p))
+        if a is None:
             raise InternalInvariantError(f"index path {i} does not end on the line")
-    if lam[: len(chain)] != tuple(vertex_path(w) for w in chain):
-        raise InternalInvariantError("the index set does not start with the line")
-    for i, row in enumerate(_unit_grid(g, chain, edges, lam)):
-        for j, m in enumerate(row):
-            if grid[i][j] != m:
-                raise InternalInvariantError(f"unit ({i},{j}) is not s_(alpha mu) s_beta*")
-    k = len(chain)
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                prod = multiply_monomials(g, grid[i][j], grid[j][l])
-                # products sit further down the line than the target
-                # unit; the shared tail contracts one edge at a time
-                # through the line relations
-                if prod is None or _collapse_line_tail(g, line_edges, prod) != grid[i][l]:
-                    raise InternalInvariantError(
-                        f"unit product ({i},{j})({j},{l}) is not unit ({i},{l})"
-                    )
+        at.append(a)
+    key = [(g.path_source(p), tuple(e.key() for e in p.edges)) for p in lam]
+    order = sorted(range(len(lam)), key=key.__getitem__)
+    for i, j in zip(order, order[1:]):
+        (s, x), (t, y) = key[i], key[j]
+        if s == t and y[: len(x)] == x:
+            raise InternalInvariantError(
+                f"unit product ({i},{i})({j},{j}) should vanish: index paths are comparable"
+            )
+    return tuple(at)
 
 
 def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     """Matrix units realizing the whole algebra for a witnessing line point.
 
     Requires that the saturation of the line point's tree is every
-    vertex.  Checks that the algebra dimension equals |Lambda| squared
-    and that rewriting each sink-basis monomial into unit coordinates is
+    vertex.  The sink basis is then {s_alpha s_beta*} over pairs of
+    paths into the one sink, and the rewrite into unit coordinates is
+    certified in O(total length of those paths):
+
+    - the end of the line is the only sink;
+    - every path p into it is lam_c followed by the line path from the
+      range of lam_c, for one index c = c(p);
+    - c is a bijection onto Lambda;
+    - the algebra dimension is |Lambda|^2.
+
+    Contracting the shared line tail of s_alpha s_beta* then stops at
+    unit (c(alpha), c(beta)), as in ``_verify_units``, so the rewrite is
     a bijection onto Lambda x Lambda.
     """
     if set(saturate(g, tree_of(g, v))) != set(g.vertices):
@@ -508,70 +506,23 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     n = len(sys.lam)
     if dimension(g) != n * n:
         raise InternalInvariantError("algebra dimension differs from |Lambda|^2")
-    tset = set(sys.line)
+    end = sys.line[-1]
+    if [t for t in g.vertices if not g.out_bundles(t)] != [end]:
+        raise InternalInvariantError("the end of the line is not the only sink")
+    lam_index = {p: c for c, p in enumerate(sys.lam)}
     line_edges = set(sys.line_edges)
-    lam_index = {p: i for i, p in enumerate(sys.lam)}
-
-    def coordinate(p: Path) -> int:
-        # shortest prefix of p whose range lies on the line
-        if g.path_source(p) in tset:
-            prefix = vertex_path(g.path_source(p))
-        else:
-            prefix = None
-            for k in range(1, p.length + 1):
-                if g.range_of(p.edges[k - 1]) in tset:
-                    prefix = Path(edges=p.edges[:k])
-                    break
-            if prefix is None:
-                raise InternalInvariantError(f"basis path never meets the line: {p}")
-        i = lam_index.get(prefix)
-        if i is None:
-            raise InternalInvariantError(f"entry prefix is not a Lambda member: {prefix}")
-        return i
-
-    seen = set()
-    sinks = [t for t in g.vertices if not g.out_bundles(t)]
-    for t in sinks:
-        into = paths_into(g, t)
-        coords = [coordinate(p) for p in into]
-        for alpha, i in zip(into, coords):
-            for beta, j in zip(into, coords):
-                expected = monomial_of(sys, i, j)
-                got = _collapse_line_tail(g, line_edges, Monomial(alpha, beta))
-                if got != expected:
-                    raise InternalInvariantError(
-                        "sink monomial does not reduce to its matrix unit"
-                    )
-                if (i, j) in seen:
-                    raise InternalInvariantError("unit coordinates repeat")
-                seen.add((i, j))
-    if len(seen) != n * n:
-        raise InternalInvariantError("unit coordinates do not cover Lambda x Lambda")
+    seen = bytearray(n)
+    for p in paths_into(g, end):
+        k = p.length
+        while k and p.edges[k - 1] in line_edges:
+            k -= 1
+        head = Path(edges=p.edges[:k]) if k else vertex_path(g.path_source(p))
+        c = lam_index.get(head)
+        if c is None or p.edges[k:] != sys.line_edges[sys.at[c] :]:
+            raise InternalInvariantError(f"sink path does not run from Lambda down the line: {p}")
+        if seen[c]:
+            raise InternalInvariantError("unit coordinates repeat")
+        seen[c] = 1
+    if not all(seen):
+        raise InternalInvariantError("unit coordinates do not cover Lambda")
     return sys
-
-
-def monomial_of(sys: MatrixUnitSystem, i: int, j: int) -> Monomial:
-    return sys.grid[i][j].terms[0][0]
-
-
-def _drop_last(g: Graph, p: Path) -> Path:
-    if p.length == 1:
-        return vertex_path(g.source_of(p.edges[0]))
-    return Path(edges=p.edges[:-1])
-
-
-def _collapse_line_tail(g: Graph, line_edges: set, m: Monomial) -> Monomial:
-    """Strip a shared line tail: s_(a e) s_(b e)* = s_a s_b* for line edges e.
-
-    Valid because every line vertex is regular with a single outgoing
-    edge, so its summation relation has one term.
-    """
-    alpha, beta = m.alpha, m.beta
-    while (
-        alpha.length > 0
-        and beta.length > 0
-        and alpha.edges[-1] == beta.edges[-1]
-        and alpha.edges[-1] in line_edges
-    ):
-        alpha, beta = _drop_last(g, alpha), _drop_last(g, beta)
-    return Monomial(alpha, beta)

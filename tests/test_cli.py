@@ -1,6 +1,7 @@
 """JSON ingestion, report commands, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -317,8 +318,7 @@ def test_json_output_is_stable(capsys):
 # -- long inputs ---------------------------------------------------------------
 
 
-def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
-    n = 1500
+def write_line(tmp_path, n):
     doc = {
         "vertices": [f"v{i}" for i in range(n)],
         "edges": [
@@ -328,6 +328,12 @@ def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
     }
     path = tmp_path / "line.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
+    n = 1500
+    path = write_line(tmp_path, n)
 
     assert main(["classes", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -342,6 +348,16 @@ def test_long_line_has_no_recursion_ceiling(tmp_path, capsys):
 
     assert main(["compseries", str(path)]) == 0
     assert capsys.readouterr().out.startswith("length: 1\n")
+
+
+def test_analyze_long_line_in_linear_time(tmp_path, capsys):
+    # downward directedness intersected n^2 pairs of trees and the circuit
+    # walk ran down the line from every vertex: 27 s on this line
+    path = write_line(tmp_path, 1500)
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "downward directed: yes" in capsys.readouterr().out.splitlines()
 
 
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):

@@ -11,7 +11,15 @@ The representation certificates used to form every product: all |Lambda|^4
 products of matrix units, s_e* s_f for every pair of edges, and orbits and
 intertwiner constraints over every generator of the representation.  Those
 loops are kept here too, with a sympy rank computation for the intertwiner
-spaces, and compared with the output-sized checks of ``leavitt.repn``.
+spaces, and compared with the output-sized checks of ``leavitt.repn``.  So
+are the stored grid of unit monomials, the one-edge-at-a-time collapse of
+a shared line tail, the pair-by-pair rewrite of the sink monomials into
+unit coordinates, and the evaluation that tests every basis path for a
+prefix.
+
+Downward directedness used to intersect the trees of every pair of
+vertices, and the circuit walk started at every vertex; both are kept and
+compared, the first also with networkx's condensation.
 
 Lambda, the entry vertices of an ideal graph and the size of a lone-cycle
 class each had their own loop over the bundles entering a vertex set;
@@ -21,6 +29,7 @@ counter-based saturation rounds on the same hypothesis graphs.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -31,7 +40,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from leavitt.algebra import Monomial, multiply_monomials  # noqa: E402
+from leavitt.algebra import Monomial, element, multiply_monomials  # noqa: E402
 from leavitt.boundary import _doubled_component, enumerate_classes  # noqa: E402
 from leavitt.errors import InternalInvariantError, NotFinitelyPresentableError  # noqa: E402
 from leavitt.graph import (  # noqa: E402
@@ -44,8 +53,10 @@ from leavitt.graph import (  # noqa: E402
     _least_rotation,
     bundle_circuits,
     classify_vertex,
+    concat,
     count_entry_paths,
     count_paths_into,
+    downward_directed,
     entry_paths,
     has_cycle,
     is_omega,
@@ -56,21 +67,26 @@ from leavitt.graph import (  # noqa: E402
     paths_into,
     saturate,
     saturation_stages,
+    starts_with,
+    strip_prefix,
     strongly_connected_components,
     tree_of,
+    vertex_path,
     vertices_on_cycles,
 )
 from leavitt.ideals import _fresh, ideal_graph  # noqa: E402
 from leavitt.naimark import check_condition5  # noqa: E402
 from leavitt.repn import (  # noqa: E402
-    _collapse_line_tail,
-    _unit_grid,
-    _verify_unit_grid,
+    MatrixUnitSystem,
+    _verify_units,
     build_rho,
+    evaluate,
     hom_space_dim,
     lambda_index_set,
     lambda_size,
     matrix_units,
+    monomial_of,
+    naimark_isomorphism,
     verify_irreducible_block,
     verify_relations,
 )
@@ -93,6 +109,23 @@ def graphs(draw):
     return Graph(vs, bundles)
 
 
+@st.composite
+def acyclic_graphs(draw):
+    """Bundles run from lower to higher index; multiplicities 1 and 2."""
+    n = draw(st.integers(1, 7))
+    vs = tuple(f"v{i}" for i in range(n))
+    bundles = []
+    if n > 1:
+        for i in range(draw(st.integers(0, 9))):
+            s = draw(st.integers(0, n - 2))
+            r = draw(st.integers(s + 1, n - 1))
+            bundles.append(Bundle(f"e{i}", vs[s], vs[r], draw(st.sampled_from((1, 2)))))
+    g = Graph(vs, tuple(bundles))
+    sinks = [v for v in vs if not g.out_bundles(v)]
+    hypothesis.assume(sum(count_paths_into(g, t) for t in sinks) <= 120)
+    return g
+
+
 # -- the replaced algorithms ---------------------------------------------------
 
 
@@ -109,6 +142,31 @@ def tree_walk_line_points(g):
         if ok:
             result.append(v)
     return tuple(result)
+
+
+def unpruned_bundle_circuits(g):
+    """Circuits from a walk out of every vertex, through every higher-index vertex."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    circuits = []
+    for s in g.vertices:
+        chain = []
+        visited = {s}
+        work = [iter(g.out_bundles(s))]
+        while work:
+            for b in work[-1]:
+                w = b.range
+                if w == s:
+                    circuits.append(tuple(chain) + (b,))
+                elif index[w] > index[s] and w not in visited:
+                    visited.add(w)
+                    chain.append(b)
+                    work.append(iter(g.out_bundles(w)))
+                    break
+            else:
+                work.pop()
+                if chain:
+                    visited.remove(chain.pop().range)
+    return tuple(circuits)
 
 
 def circuit_weighted_doubling(g):
@@ -180,6 +238,12 @@ def test_line_points_match_tree_walk_and_networkx(g):
 
 @SETTINGS
 @given(graphs())
+def test_circuit_walks_match_unpruned_walks(g):
+    assert bundle_circuits(g) == unpruned_bundle_circuits(g)
+
+
+@SETTINGS
+@given(graphs())
 def test_edge_count_doubling_matches_circuits_and_networkx(g):
     assert _doubled_component(g) == circuit_weighted_doubling(g) == nx_doubled(g)
 
@@ -205,6 +269,24 @@ def test_sccs_match_networkx(g):
     assert ours == {frozenset(c) for c in nx.strongly_connected_components(to_networkx(g))}
 
 
+def pairwise_downward_directed(g):
+    """Every pair of vertices has a common descendant, by intersecting trees."""
+    trees = {v: set(tree_of(g, v)) for v in g.vertices}
+    vs = g.vertices
+    return all(trees[a] & trees[b] for i, a in enumerate(vs) for b in vs[i + 1 :])
+
+
+def nx_downward_directed(g):
+    c = nx.condensation(to_networkx(g))
+    return sum(1 for x in c if c.out_degree(x) == 0) <= 1
+
+
+@SETTINGS
+@given(graphs())
+def test_downward_directed_matches_pairwise_loop_and_networkx(g):
+    assert downward_directed(g) == pairwise_downward_directed(g) == nx_downward_directed(g)
+
+
 @SETTINGS
 @given(graphs())
 def test_path_count_matches_listing(g):
@@ -215,6 +297,25 @@ def test_path_count_matches_listing(g):
 
 
 # -- matrix units: the exhaustive delta rule -------------------------------------
+
+
+def drop_last(g, p):
+    if p.length == 1:
+        return vertex_path(g.source_of(p.edges[0]))
+    return Path(edges=p.edges[:-1])
+
+
+def collapse_line_tail(g, line_edges, m):
+    """Strip a shared line tail one edge at a time: s_(a e) s_(b e)* = s_a s_b*."""
+    alpha, beta = m.alpha, m.beta
+    while (
+        alpha.length > 0
+        and beta.length > 0
+        and alpha.edges[-1] == beta.edges[-1]
+        and alpha.edges[-1] in line_edges
+    ):
+        alpha, beta = drop_last(g, alpha), drop_last(g, beta)
+    return Monomial(alpha, beta)
 
 
 def exhaustive_unit_check(g, chain, edges, lam, grid):
@@ -233,30 +334,102 @@ def exhaustive_unit_check(g, chain, edges, lam, grid):
                 for l, mkl in enumerate(grid[k]):
                     prod = multiply_monomials(g, mij, mkl)
                     if j == k:
-                        if prod is None or _collapse_line_tail(g, line_edges, prod) != target[l]:
+                        if prod is None or collapse_line_tail(g, line_edges, prod) != target[l]:
                             return False
                     elif prod is not None:
                         return False
     return True
 
 
-def fast_unit_check(g, chain, edges, lam, grid):
+def fast_unit_check(g, chain, edges, lam):
     try:
-        _verify_unit_grid(g, chain, edges, lam, grid)
+        _verify_units(g, chain, edges, lam)
     except InternalInvariantError:
         return False
     return True
 
 
 def shaped_grid(g, chain, edges, lam):
-    return [list(row) for row in _unit_grid(g, chain, edges, lam)]
+    """The unit monomial for every pair of ``lam``, written out cell by cell.
+
+    For alpha, beta ending at line positions i <= j the unit is
+    s_(alpha mu) s_beta* with mu the line path from i to j; for i > j it
+    is the adjoint shape s_alpha s_(beta mu)*.
+    """
+    pos = {w: i for i, w in enumerate(chain)}
+    at = [pos[g.path_range(p)] for p in lam]
+    rows = []
+    for pa, i in zip(lam, at):
+        row = []
+        for pb, j in zip(lam, at):
+            if i < j:
+                row.append(Monomial(concat(pa, Path(edges=edges[i:j])), pb))
+            elif i == j:
+                row.append(Monomial(pa, pb))
+            else:
+                row.append(Monomial(pa, concat(pb, Path(edges=edges[j:i]))))
+        rows.append(row)
+    return rows
+
+
+def unit_grid(sys):
+    """The grid of unit monomials, read through ``sys.unit``."""
+    n = len(sys.lam)
+    grid = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            (m, c), = sys.unit(i, j).terms
+            assert c == 1 and m == monomial_of(sys, i, j)
+            row.append(m)
+        grid.append(row)
+    return grid
 
 
 def unit_verdicts(g, v):
     sys = matrix_units(g, v)
-    grid = [[x.terms[0][0] for x in row] for row in sys.grid]
-    args = (g, sys.line, sys.line_edges, sys.lam, grid)
-    return fast_unit_check(*args), exhaustive_unit_check(*args)
+    grid = unit_grid(sys)
+    assert grid == shaped_grid(g, sys.line, sys.line_edges, sys.lam)
+    fast = fast_unit_check(g, sys.line, sys.line_edges, sys.lam)
+    return fast, exhaustive_unit_check(g, sys.line, sys.line_edges, sys.lam, grid)
+
+
+def pairwise_isomorphism_check(g, sys):
+    """The sink-monomial rewrite pair by pair; True iff it is a bijection onto Lambda x Lambda.
+
+    Each sink path gets the coordinate of its shortest prefix ending on
+    the line, and every pair of paths into one sink must collapse to the
+    unit of their coordinates.
+    """
+    n = len(sys.lam)
+    tset = set(sys.line)
+    line_edges = set(sys.line_edges)
+    lam_index = {p: i for i, p in enumerate(sys.lam)}
+
+    def coordinate(p):
+        if g.path_source(p) in tset:
+            return lam_index.get(vertex_path(g.path_source(p)))
+        for k in range(1, p.length + 1):
+            if g.range_of(p.edges[k - 1]) in tset:
+                return lam_index.get(Path(edges=p.edges[:k]))
+        return None
+
+    seen = set()
+    for t in g.vertices:
+        if g.out_bundles(t):
+            continue
+        into = paths_into(g, t)
+        coords = [coordinate(p) for p in into]
+        if None in coords:
+            return False
+        for alpha, i in zip(into, coords):
+            for beta, j in zip(into, coords):
+                if collapse_line_tail(g, line_edges, Monomial(alpha, beta)) != monomial_of(sys, i, j):
+                    return False
+                if (i, j) in seen:
+                    return False
+                seen.add((i, j))
+    return len(seen) == n * n
 
 
 def broom(handle, bristles):
@@ -278,6 +451,7 @@ def test_unit_checks_agree_on_sweep_positives():
             continue
         positives += 1
         assert unit_verdicts(g, witness) == (True, True)
+        assert pairwise_isomorphism_check(g, naimark_isomorphism(g, witness))
     assert positives == 1557
 
 
@@ -287,6 +461,18 @@ def test_unit_checks_agree_on_brooms():
             g = broom(handle, lam - handle)
             for v in {g.vertices[0], g.vertices[-1]}:
                 assert unit_verdicts(g, v) == (True, True)
+            assert pairwise_isomorphism_check(g, naimark_isomorphism(g, "w0"))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(acyclic_graphs())
+def test_unit_checks_agree_on_hypothesis_graphs(g):
+    for v in line_points(g):
+        if lambda_size(g, v) <= 12:
+            assert unit_verdicts(g, v) == (True, True)
+    witness = check_condition5(g)
+    if witness is not None:
+        assert pairwise_isomorphism_check(g, naimark_isomorphism(g, witness))
 
 
 def corrupted_grids():
@@ -323,9 +509,29 @@ def corrupted_grids():
 )
 def test_unit_checks_reject_corrupted_grids(name):
     g, chain, edges, cases = corrupted_grids()
-    args = (g, chain, edges, *cases[name])
-    assert fast_unit_check(*args) is False
-    assert exhaustive_unit_check(*args) is False
+    lam, grid = cases[name]
+    assert exhaustive_unit_check(g, chain, edges, lam, grid) is False
+    if name == "wrong line path":
+        # lam is intact and the corruption sits in the grid; units are
+        # built from lam on demand, so no system can carry it
+        sys = MatrixUnitSystem(chain, edges, lam, _verify_units(g, chain, edges, lam))
+        assert unit_grid(sys) == shaped_grid(g, chain, edges, lam) != grid
+    else:
+        assert fast_unit_check(g, chain, edges, lam) is False
+
+
+def test_isomorphism_checks_reject_shifted_coordinates(monkeypatch):
+    # h0 recorded one line position further down than where it ends
+    g = broom(4, 4)
+    sys = matrix_units(g, "w0")
+    at = list(sys.at)
+    at[4] += 1
+    shifted = MatrixUnitSystem(sys.line, sys.line_edges, sys.lam, tuple(at))
+    assert pairwise_isomorphism_check(g, sys)
+    assert not pairwise_isomorphism_check(g, shifted)
+    monkeypatch.setattr("leavitt.repn.matrix_units", lambda g, v: shifted)
+    with pytest.raises(InternalInvariantError, match="does not run from Lambda down the line"):
+        naimark_isomorphism(g, "w0")
 
 
 # -- the representation: pairwise relations, all-generator walks ------------------
@@ -454,23 +660,6 @@ def sympy_hom_space_dim(R, a, b):
     return na * nb - matrix.rank()
 
 
-@st.composite
-def acyclic_graphs(draw):
-    """Bundles run from lower to higher index; multiplicities 1 and 2."""
-    n = draw(st.integers(1, 7))
-    vs = tuple(f"v{i}" for i in range(n))
-    bundles = []
-    if n > 1:
-        for i in range(draw(st.integers(0, 9))):
-            s = draw(st.integers(0, n - 2))
-            r = draw(st.integers(s + 1, n - 1))
-            bundles.append(Bundle(f"e{i}", vs[s], vs[r], draw(st.sampled_from((1, 2)))))
-    g = Graph(vs, tuple(bundles))
-    sinks = [v for v in vs if not g.out_bundles(v)]
-    hypothesis.assume(sum(count_paths_into(g, t) for t in sinks) <= 120)
-    return g
-
-
 @settings(max_examples=120, deadline=None, database=None)
 @given(acyclic_graphs())
 def test_representation_checks_match_exhaustive_loops_and_sympy(g):
@@ -486,6 +675,37 @@ def test_representation_checks_match_exhaustive_loops_and_sympy(g):
             assert d == dense_hom_space_dim(R, a, b) == (1 if a == b else 0)
             if len(R.classes[a]) * len(R.classes[b]) <= 64:
                 assert d == sympy_hom_space_dim(R, a, b)
+
+
+def scanning_evaluate(R, x):
+    """Dense matrix of x, testing every basis path against each term's beta."""
+    g = R.graph
+    n = len(R.basis)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for m, c in x.terms:
+        for j, delta in enumerate(R.basis):
+            if not starts_with(g, delta, m.beta):
+                continue
+            i = R.index.get(concat(m.alpha, strip_prefix(g, delta, m.beta)))
+            if i is not None:
+                rows[i][j] += c
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(acyclic_graphs(), st.data())
+def test_evaluate_matches_basis_scan(g, data):
+    R = build_rho(g)
+    by_range = {v: paths_into(g, v) for v in g.vertices}
+    paths = [p for ps in by_range.values() for p in ps]
+    terms = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        alpha = data.draw(st.sampled_from(paths))
+        beta = data.draw(st.sampled_from(by_range[g.path_range(alpha)]))
+        c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        terms.append((Monomial(alpha, beta), c))
+    x = element(terms)
+    assert evaluate(R, x) == scanning_evaluate(R, x)
 
 
 def test_relation_checks_reject_overlapping_images():

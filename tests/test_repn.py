@@ -1,5 +1,6 @@
 """Boundary-path representations, blocks, and matrix units."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,11 +40,13 @@ from leavitt import (
 )
 from leavitt.errors import (
     ContractError,
+    InternalInvariantError,
     NotFinitelyPresentableError,
     UnsupportedGraphError,
 )
 from leavitt.graph import Path, path_key, vertex_path
-from leavitt.repn import monomial_of
+from leavitt.naimark import check_condition5
+from leavitt.repn import _verify_units, monomial_of
 
 from sweeputil import random_graph
 from test_algebra import random_element
@@ -393,3 +396,58 @@ def test_naimark_isomorphism_rejects_non_witness():
     with pytest.raises(ContractError) as err:
         naimark_isomorphism(FORK, "v")
     assert "does not witness" in str(err.value)
+
+
+def line_graph(n):
+    vs = tuple(f"v{i}" for i in range(n))
+    return Graph(vs, tuple(Bundle(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)))
+
+
+def diamond_chain(k):
+    """c0 => c1 => ... => ck, each step through two middle vertices: |Lambda| = 2^(k+2) - 3."""
+    c = [f"c{i}" for i in range(k + 1)]
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    bundles = []
+    for i in range(k):
+        bundles += [
+            Bundle(f"p{i}", c[i], a[i]),
+            Bundle(f"q{i}", c[i], b[i]),
+            Bundle(f"x{i}", a[i], c[i + 1]),
+            Bundle(f"y{i}", b[i], c[i + 1]),
+        ]
+    return Graph(tuple(c + a + b), tuple(bundles))
+
+
+@pytest.mark.parametrize("build, size", [(lambda: line_graph(150), 150), (lambda: diamond_chain(10), 4093)])
+def test_naimark_isomorphism_is_output_sized(build, size):
+    # the stored |Lambda|^2 grid and edge-by-edge line collapse took
+    # minutes on both
+    g = build()
+    witness = check_condition5(g)
+    start = time.perf_counter()
+    sys = naimark_isomorphism(g, witness)
+    assert time.perf_counter() - start < 1.0
+    assert len(sys.lam) == size and dimension(g) == size * size
+
+
+def corrupted_lines():
+    """(graph, chain, edges) triples whose line facts fail, by name; the index set is the chain."""
+    second = Graph(
+        ("u", "v", "w", "x"),
+        (Bundle("e", "u", "v"), Bundle("f", "v", "w"), Bundle("h", "v", "x")),
+    )
+    e, f = EdgeRef("e"), EdgeRef("f")
+    return {
+        "truncated chain": (LINE3, ("u", "v"), (e,)),
+        "line vertex with a second bundle": (second, ("u", "v", "w"), (e, f)),
+        "edges out of order": (LINE3, ("u", "v", "w"), (f, e)),
+    }
+
+
+@pytest.mark.parametrize("name", list(corrupted_lines()))
+def test_verify_units_rejects_corrupted_lines(name):
+    g, chain, edges = corrupted_lines()[name]
+    lam = tuple(vertex_path(w) for w in chain)
+    with pytest.raises(InternalInvariantError):
+        _verify_units(g, chain, edges, lam)
