@@ -217,7 +217,7 @@ def _require_acyclic_finite(g: Graph, what: str) -> None:
 def _paths_to_sinks(g: Graph, v: str) -> list[Path]:
     """All paths from ``v`` to sinks, the length-0 path included when v is a sink."""
     ending = {}  # vertex -> its paths to sinks
-    for u in _postorder(g._index.succ, v):
+    for u in _postorder(g._index.succ, (v,)):
         out = g.out_bundles(u)
         if not out:
             ending[u] = [vertex_path(u)]

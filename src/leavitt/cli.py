@@ -18,7 +18,12 @@ import json
 import sys
 
 from .algebra import dimension
-from .errors import GraphError, InternalInvariantError, UnsupportedGraphError
+from .errors import (
+    GraphError,
+    InternalInvariantError,
+    NotFinitelyPresentableError,
+    UnsupportedGraphError,
+)
 from .fixtures import FIXTURES
 from .graph import (
     OMEGA,
@@ -36,7 +41,6 @@ from .graph import (
     strongly_connected_components,
 )
 from .boundary import render_boundary_path
-from .errors import NotFinitelyPresentableError
 from .ideals import enumerate_admissible_pairs
 from .naimark import composition_series, naimark_decision, trichotomy
 from .repn import (
@@ -408,16 +412,10 @@ def main(argv=None) -> int:
     try:
         g = _resolve_graph(args, parser)
         return args.func(g, args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedGraphError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -225,6 +225,19 @@ class Graph:
             if len(comp) > 1 or any(b.range == v for b in out[v])
         )
 
+    @cached_property
+    def _path_counts(self) -> dict[str, int | None]:
+        """``count_paths_into`` of every vertex, in one pass.
+
+        The order lists a vertex off every cycle after the sources of its
+        incoming bundles.
+        """
+        count = {}
+        for v in _postorder(self._index.pred, self.vertices):
+            heads = None if v in self._cyclic else _count_through(count, self._index.into[v])
+            count[v] = None if heads is None else 1 + heads
+        return count
+
     # -- lookups ---------------------------------------------------------
 
     def vertex_index(self, v: str) -> int:
@@ -376,16 +389,16 @@ def out_degree(g: Graph, v: str) -> Multiplicity:
 # -- reachability ------------------------------------------------------
 
 
-def _postorder(adj: dict, v: str) -> list[str]:
-    """Vertices reachable from ``v`` along ``adj`` (vertex -> neighbours), ``v`` included.
+def _postorder(adj: dict, roots) -> list[str]:
+    """Vertices reachable from ``roots`` along ``adj`` (vertex -> neighbours), roots included.
 
     Each vertex is listed after every neighbour, except one still open on
     the walk, which happens only on a cycle; so where no cycle is reached
     the order is children first.  Iterative: no recursion-depth ceiling.
     """
     order = []
-    seen = {v}
-    stack = [(v, iter(adj[v]))]
+    seen = set()
+    stack = [(None, iter(roots))]  # a virtual vertex over the roots, listed last
     while stack:
         u, it = stack[-1]
         for w in it:
@@ -396,13 +409,13 @@ def _postorder(adj: dict, v: str) -> list[str]:
         else:
             stack.pop()
             order.append(u)
-    return order
+    return order[:-1]
 
 
 def tree_of(g: Graph, v: str) -> tuple[str, ...]:
     """All vertices reachable from ``v`` (including ``v``), in declared order."""
     g.vertex_index(v)
-    return _ordered(g, _postorder(g._index.succ, v))
+    return _ordered(g, _postorder(g._index.succ, (v,)))
 
 
 def _ordered(g: Graph, vs) -> tuple[str, ...]:
@@ -644,8 +657,9 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
 
 
 def _least_rotation(cycle: tuple[EdgeRef, ...]) -> tuple[EdgeRef, ...]:
-    keys = [tuple(e.key() for e in cycle[i:] + cycle[:i]) for i in range(len(cycle))]
-    best = min(range(len(cycle)), key=lambda i: keys[i])
+    # The edges of a simple cycle leave distinct vertices, so their keys
+    # differ, and the least rotation starts at the least edge key.
+    best = min(range(len(cycle)), key=lambda i: cycle[i].key())
     return cycle[best:] + cycle[:best]
 
 
@@ -706,6 +720,7 @@ def line_points(g: Graph) -> tuple[str, ...]:
 
 def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]]:
     """The vertex chain w0=v, w1, ... and its edges for a line point."""
+    g.vertex_index(v)
     if v not in line_points(g):
         raise ContractError(f"{v!r} is not a line point")
     chain = [v]
@@ -724,9 +739,31 @@ def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]
 # -- path counting -------------------------------------------------------
 
 
-def _ancestors(g: Graph, v: str) -> set:
-    """Vertices that reach ``v`` (including ``v``)."""
-    return set(_postorder(g._index.pred, v))
+def _count_through(count: dict, bundles) -> int | None:
+    """Sum of multiplicity x ``count[source]`` over ``bundles``; None if a term is infinite."""
+    if any(is_omega(b.multiplicity) or count[b.source] is None for b in bundles):
+        return None
+    return sum(b.multiplicity * count[b.source] for b in bundles)
+
+
+def _paths_ending(g: Graph, ends: dict) -> list[Path]:
+    """Every path into a key x of ``ends`` followed by a tail in ``ends[x]``, unsorted.
+
+    A tail is ``()`` for the path ending at x, or one edge leaving x.  The
+    ancestries of the keys must be acyclic with finite multiplicities.
+    Built by prepending, so the paths share their suffixes' edge refs.
+    """
+    ancestors = _postorder(g._index.pred, ends)
+    # Reversed, the order lists every ancestor after the ranges of its
+    # bundles; a range outside the ancestries has no tails.
+    tails = {}  # ancestor -> edge tuples of its paths
+    for u in reversed(ancestors):
+        acc = list(ends.get(u, ()))
+        for b in g._index.out[u]:
+            for tail in tails.get(b.range, ()):
+                acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
+        tails[u] = acc
+    return [Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]]
 
 
 def count_paths_into(g: Graph, v: str) -> int | None:
@@ -736,17 +773,7 @@ def count_paths_into(g: Graph, v: str) -> int | None:
     passes through an ancestor of ``v`` or an omega bundle lands on one.
     """
     g.vertex_index(v)
-    into = g._index.into
-    order = _postorder(g._index.pred, v)
-    if not g._cyclic.isdisjoint(order):
-        return None
-    if any(is_omega(b.multiplicity) for u in order for b in into[u]):
-        return None
-    # order lists every vertex after the sources of its incoming bundles
-    count = {}
-    for u in order:
-        count[u] = 1 + sum(b.multiplicity * count[b.source] for b in into[u])
-    return count[v]
+    return g._path_counts[v]
 
 
 def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
@@ -758,21 +785,7 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
         raise NotFinitelyPresentableError(
             f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
         )
-    ancestors = _postorder(g._index.pred, v)
-    anc = set(ancestors)
-    out = g._index.out
-    # Built by prepending, so the paths share their suffixes' edge refs.
-    # Reversed, the order lists every ancestor after the ranges of its bundles.
-    to_v = {}  # ancestor -> edge tuples of its paths to v
-    for u in reversed(ancestors):
-        acc = [()] if u == v else []
-        for b in out[u]:
-            if b.range in anc:
-                for tail in to_v[b.range]:
-                    acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
-        to_v[u] = acc
-    paths = [Path(edges=e) if e else vertex_path(v) for u in ancestors for e in to_v[u]]
-    return tuple(sorted(paths, key=path_key))
+    return tuple(sorted(_paths_ending(g, {v: [()]}), key=path_key))
 
 
 # -- paths entering a vertex set -------------------------------------------
@@ -792,13 +805,7 @@ def count_entry_paths(g: Graph, t) -> int | None:
     infinite: an omega bundle enters ``t`` or a cycle or omega bundle
     feeds one of those sources.
     """
-    total = 0
-    for b in _entering(g, t):
-        heads = None if is_omega(b.multiplicity) else count_paths_into(g, b.source)
-        if heads is None:
-            return None
-        total += b.multiplicity * heads
-    return total
+    return _count_through(g._path_counts, _entering(g, t))
 
 
 def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
@@ -807,21 +814,18 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
     When they are infinitely many, raises NotFinitelyPresentableError
     naming a witness; ``what`` names ``t`` in that message.
     """
-    entries = []
+    ends = {}  # source of an entering bundle -> the entering edges
     for b in _entering(g, t):
         reason = None
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
-        elif count_paths_into(g, b.source) is None:
-            cyclic = sorted(g._cyclic.intersection(_ancestors(g, b.source)))
+        elif g._path_counts[b.source] is None:
+            cyclic = sorted(g._cyclic.intersection(_postorder(g._index.pred, (b.source,))))
             if cyclic:
                 reason = f"a cycle through {cyclic[0]!r} reaches {what}"
             else:
                 reason = f"an omega bundle feeds the crossing edge {b.name!r}"
         if reason:
             raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
-        for head in paths_into(g, b.source):
-            entries.extend(
-                Path(edges=head.edges + (EdgeRef(b.name, i),)) for i in range(b.multiplicity)
-            )
-    return tuple(sorted(entries, key=path_key))
+        ends.setdefault(b.source, []).extend((EdgeRef(b.name, i),) for i in range(b.multiplicity))
+    return tuple(sorted(_paths_ending(g, ends), key=path_key))

@@ -29,12 +29,12 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _paths_ending,
     concat,
     count_entry_paths,
     entry_paths,
     line_through,
     path_key,
-    paths_into,
     render_edge_ref,
     saturate,
     tree_of,
@@ -57,10 +57,7 @@ class BoundaryRepresentation:
         _require_acyclic_finite(g, "the representation")
         self.graph = g
         sinks = [v for v in g.vertices if not g.out_bundles(v)]
-        basis: list[Path] = []
-        for t in sinks:
-            basis.extend(paths_into(g, t))
-        basis.sort(key=path_key)
+        basis = sorted(_paths_ending(g, {t: [()] for t in sinks}), key=path_key)
         self.basis = tuple(basis)
         self.index = index = {p: i for i, p in enumerate(basis)}
         by_sink = {t: [] for t in sinks}
@@ -512,7 +509,7 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     lam_index = {p: c for c, p in enumerate(sys.lam)}
     line_edges = set(sys.line_edges)
     seen = bytearray(n)
-    for p in paths_into(g, end):
+    for p in _paths_ending(g, {end: [()]}):
         k = p.length
         while k and p.edges[k - 1] in line_edges:
             k -= 1

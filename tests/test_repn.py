@@ -42,6 +42,7 @@ from leavitt.errors import (
     ContractError,
     InternalInvariantError,
     NotFinitelyPresentableError,
+    UnknownNameError,
     UnsupportedGraphError,
 )
 from leavitt.graph import Path, path_key, vertex_path
@@ -310,6 +311,13 @@ def test_lambda_infinite_cases():
         (Bundle("a", "x", "x"), Bundle("c", "x", "u")),
     )
     assert lambda_size(g, "u") is None  # a cycle pumps entries forever
+
+
+@pytest.mark.parametrize("call", [lambda_size, lambda_index_set, matrix_units])
+def test_line_lookups_reject_unknown_vertex(call):
+    # an unknown name is not reported as a vertex that fails to be a line point
+    with pytest.raises(UnknownNameError, match="unknown vertex 'zz'"):
+        call(LINE3, "zz")
 
 
 def test_matrix_units_line3():
