@@ -25,16 +25,16 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
-    _least_rotation,
     count_entry_paths,
     count_paths_into,
-    is_omega,
     is_singular,
     path_key,
     paths_into,
     render_edge_ref,
     render_path,
-    strongly_connected_components,
+    simple_cycles,
+    singular_vertices,
+    strip_prefix,
     vertex_path,
 )
 
@@ -98,26 +98,13 @@ def boundary_path(g: Graph, prefix: Path, cycle=None) -> BoundaryPath:
 
 def shift(g: Graph, b: BoundaryPath) -> BoundaryPath:
     """Drop the first edge; length-0 finite boundary paths are fixed points."""
+    if b.prefix.length:
+        return BoundaryPath(strip_prefix(g, b.prefix, Path(edges=b.prefix.edges[:1])), b.cycle)
     if b.cycle is None:
-        if b.prefix.length == 0:
-            return b
-        if b.prefix.length == 1:
-            return BoundaryPath(vertex_path(g.path_range(b.prefix)), None)
-        return BoundaryPath(Path(edges=b.prefix.edges[1:]), None)
-    if b.prefix.length >= 1:
-        if b.prefix.length == 1:
-            prefix = vertex_path(g.path_range(b.prefix))
-        else:
-            prefix = Path(edges=b.prefix.edges[1:])
-        return BoundaryPath(prefix, b.cycle)
+        return b
     # Purely periodic: the cycle rotates by one.
     first = b.cycle[0]
-    rotated = b.cycle[1:] + (first,)
-    return BoundaryPath(vertex_path(g.range_of(first)), rotated)
-
-
-def _rotations(cycle: tuple[EdgeRef, ...]):
-    return {cycle[i:] + cycle[:i] for i in range(len(cycle))}
+    return BoundaryPath(vertex_path(g.range_of(first)), b.cycle[1:] + (first,))
 
 
 def st_equivalent(g: Graph, a: BoundaryPath, b: BoundaryPath) -> bool:
@@ -126,7 +113,11 @@ def st_equivalent(g: Graph, a: BoundaryPath, b: BoundaryPath) -> bool:
         return False
     if a.cycle is None:
         return g.path_range(a.prefix) == g.path_range(b.prefix)
-    return b.cycle in _rotations(a.cycle)
+    # only a rotation starting with b's first edge can equal b's cycle
+    head = b.cycle[0]
+    return any(
+        e == head and a.cycle[i:] + a.cycle[:i] == b.cycle for i, e in enumerate(a.cycle)
+    )
 
 
 @dataclass(frozen=True)
@@ -158,41 +149,6 @@ class ClassCensus:
         return None if self.uncountable else len(self.classes)
 
 
-def _doubled_component(g: Graph) -> bool:
-    """True iff some strongly connected component carries two distinct simple cycles.
-
-    A strongly connected component of n vertices has at least n internal
-    edges (counted with multiplicity) when it is nontrivial.  With exactly
-    n, every vertex emits one edge inside it, so it is a lone cycle; with
-    more, some vertex emits two, and each closes a different cycle.  An
-    omega bundle counts as two edges.
-    """
-    comps = strongly_connected_components(g)
-    comp_of = g._comp_of
-    internal = [0] * len(comps)
-    for b in g.bundles:
-        c = comp_of[b.source]
-        if comp_of[b.range] == c:
-            internal[c] += 2 if is_omega(b.multiplicity) else b.multiplicity
-    return any(m > len(comp) for m, comp in zip(internal, comps))
-
-
-def _lone_cycle(g: Graph, comp: tuple[str, ...]) -> tuple[EdgeRef, ...] | None:
-    """The simple cycle of a component without a doubled cycle; None if trivial."""
-    cset = set(comp)
-    refs = []
-    u = comp[0]
-    while True:
-        inside = [b for b in g.out_bundles(u) if b.range in cset]
-        if not inside:
-            return None
-        # not doubled, so this is the only internal bundle, of multiplicity 1
-        refs.append(EdgeRef(inside[0].name, 0))
-        u = inside[0].range
-        if u == comp[0]:
-            return _least_rotation(tuple(refs))
-
-
 def enumerate_classes(g: Graph) -> ClassCensus:
     """Census of shift-tail classes.
 
@@ -200,16 +156,15 @@ def enumerate_classes(g: Graph) -> ClassCensus:
     contains two distinct simple cycles; otherwise it is finite, with one
     class per singular vertex and one per rotation class of simple cycle.
     """
-    if _doubled_component(g):
+    if g._doubled:
         return ClassCensus(True, ())
     classes = []
-    for v in g.vertices:
-        if is_singular(g, v):
-            rep = BoundaryPath(vertex_path(v), None)
-            classes.append(TailClass(rep, count_paths_into(g, v)))
-    lone = (_lone_cycle(g, comp) for comp in strongly_connected_components(g))
-    cycles = sorted((c for c in lone if c), key=lambda c: (len(c), tuple(e.key() for e in c)))
-    for cyc in cycles:
+    for v in singular_vertices(g):
+        rep = BoundaryPath(vertex_path(v), None)
+        classes.append(TailClass(rep, count_paths_into(g, v)))
+    # every component is a lone cycle or trivial, so every cycle bundle has
+    # multiplicity 1: the simple cycles are the lone cycles, each listed once
+    for cyc in simple_cycles(g):
         rep = boundary_path(g, vertex_path(g.source_of(cyc[0])), cyc)
         # a member is a minimal prefix and a rotation: the vertex path at
         # a cycle vertex, or a path entering the cycle (its SCC) there
@@ -237,7 +192,6 @@ def render_boundary_path(g: Graph, b: BoundaryPath) -> str:
 def finite_boundary_paths(g: Graph) -> tuple[BoundaryPath, ...]:
     """All finite boundary paths, sorted; requires every singular class finite."""
     out = []
-    for v in g.vertices:
-        if is_singular(g, v):
-            out.extend(BoundaryPath(p, None) for p in paths_into(g, v))
+    for v in singular_vertices(g):
+        out.extend(BoundaryPath(p, None) for p in paths_into(g, v))
     return tuple(sorted(out, key=lambda b: path_key(b.prefix)))

@@ -166,9 +166,10 @@ class _Index:
 class Graph:
     """An immutable finitely presented directed multigraph.
 
-    The name index, the adjacency and the strongly connected components
-    are derived once, on first use, and kept on the instance; equality
-    and hashing depend only on ``vertices`` and ``bundles``.
+    The name index, the adjacency, the vertex classes and the strongly
+    connected components are derived once, on first use, and kept on the
+    instance; equality and hashing depend only on ``vertices`` and
+    ``bundles``.
     """
 
     vertices: tuple[str, ...]
@@ -214,6 +215,35 @@ class Graph:
     @cached_property
     def _comp_of(self) -> dict[str, int]:
         return {v: i for i, comp in enumerate(self._sccs) for v in comp}
+
+    @cached_property
+    def _classes(self) -> dict[str, VertexClass]:
+        """``classify_vertex`` of every vertex, in declared order, in one pass."""
+        classes = dict.fromkeys(self.vertices, VertexClass.SINK)
+        for b in self.bundles:
+            if is_omega(b.multiplicity):
+                classes[b.source] = VertexClass.INFINITE_EMITTER
+            elif classes[b.source] is VertexClass.SINK:
+                classes[b.source] = VertexClass.REGULAR
+        return classes
+
+    @cached_property
+    def _doubled(self) -> frozenset:
+        """Indices of the strongly connected components carrying two distinct simple cycles.
+
+        A strongly connected component of n vertices has at least n internal
+        edges (counted with multiplicity) when it is nontrivial.  With exactly
+        n, every vertex emits one edge inside it, so it is a lone cycle; with
+        more, some vertex emits two, and each closes a different cycle.  An
+        omega bundle counts as two edges.
+        """
+        comp = self._comp_of
+        internal = [0] * len(self._sccs)
+        for b in self.bundles:
+            c = comp[b.source]
+            if comp[b.range] == c:
+                internal[c] += 2 if is_omega(b.multiplicity) else b.multiplicity
+        return frozenset(c for c, vs in enumerate(self._sccs) if internal[c] > len(vs))
 
     @cached_property
     def _cyclic(self) -> frozenset:
@@ -360,12 +390,10 @@ def render_path(g: Graph, p: Path) -> str:
 
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
-    out = g.out_bundles(v)
-    if not out:
-        return VertexClass.SINK
-    if any(is_omega(b.multiplicity) for b in out):
-        return VertexClass.INFINITE_EMITTER
-    return VertexClass.REGULAR
+    try:
+        return g._classes[v]
+    except (KeyError, TypeError):
+        raise UnknownNameError(f"unknown vertex {v!r}") from None
 
 
 def is_singular(g: Graph, v: str) -> bool:
@@ -373,7 +401,7 @@ def is_singular(g: Graph, v: str) -> bool:
 
 
 def singular_vertices(g: Graph) -> tuple[str, ...]:
-    return tuple(v for v in g.vertices if is_singular(g, v))
+    return tuple(v for v, c in g._classes.items() if c is not VertexClass.REGULAR)
 
 
 def out_degree(g: Graph, v: str) -> Multiplicity:
@@ -441,11 +469,9 @@ def is_saturated(g: Graph, h) -> bool:
     """True iff every regular vertex whose outgoing ranges all lie in ``h`` is in ``h``."""
     hset = _check_subset(g, h)
     out = g._index.out
-    for v in g.vertices:
-        # a regular vertex emits at least one edge and no omega bundle
-        if v not in hset and out[v] and all(
-            not is_omega(b.multiplicity) and b.range in hset for b in out[v]
-        ):
+    regular = VertexClass.REGULAR
+    for v, c in g._classes.items():
+        if c is regular and v not in hset and all(b.range in hset for b in out[v]):
             return False
     return True
 
@@ -464,8 +490,8 @@ def _saturation_rounds(g: Graph, h):
     out = g._index.out
     leaving = {
         v: sum(b.range not in hset for b in out[v])
-        for v in g.vertices
-        if v not in hset and out[v] and not any(is_omega(b.multiplicity) for b in out[v])
+        for v, c in g._classes.items()
+        if c is VertexClass.REGULAR and v not in hset
     }
     yield hset
     adjoined = [v for v, n in leaving.items() if n == 0]
@@ -499,28 +525,20 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
     """Singular vertices with finitely many (but at least one) edges escaping ``h``.
 
     ``h`` must be saturated hereditary.  Only infinite emitters can
-    qualify: a sink emits nothing, and a vertex with an omega bundle into
-    the complement has infinitely many escaping edges.
+    qualify: a sink emits nothing, an emitter inside the hereditary ``h``
+    emits nothing out of it, and one with an omega bundle into the
+    complement has infinitely many escaping edges.
     """
     hset = _check_subset(g, h)
     if not is_hereditary(g, hset) or not is_saturated(g, hset):
         raise ContractError("breaking vertices are defined for saturated hereditary sets")
-    result = []
-    for v in g.vertices:
-        if v in hset or not is_singular(g, v):
-            continue
-        count = 0
-        infinite = False
-        for b in g.out_bundles(v):
-            if b.range in hset:
-                continue
-            if is_omega(b.multiplicity):
-                infinite = True
-                break
-            count += b.multiplicity
-        if not infinite and count > 0:
-            result.append(v)
-    return tuple(result)
+    out = g._index.out
+    escaping = {
+        v: [b.multiplicity for b in out[v] if b.range not in hset]
+        for v, c in g._classes.items()
+        if c is VertexClass.INFINITE_EMITTER
+    }
+    return tuple(v for v, ms in escaping.items() if ms and not any(map(is_omega, ms)))
 
 
 def escaping_edges(g: Graph, h, v: str) -> tuple[EdgeRef, ...]:
@@ -625,16 +643,17 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
     Each circuit is anchored at its smallest-index vertex, so every
     rotation class appears exactly once.  Parallel edges within a bundle
     are not expanded here.  A circuit stays inside one strongly connected
-    component, so the walks start on cycles and stay in their component;
-    an acyclic graph costs O(n + m).  Exponential in general; the census
-    does not use it.
+    component, so the walks start on cycles and stay in their component.
+    A component without two distinct simple cycles is a lone cycle,
+    anchored at its first vertex, so only that vertex starts a walk there:
+    a graph of lone cycles costs O(n + m).  Exponential in general.
     """
     index = g._index.position
     out = g._index.out
     comp = g._comp_of
     circuits = []
     for s in g.vertices:
-        if s not in g._cyclic:
+        if s not in g._cyclic or (comp[s] not in g._doubled and g._sccs[comp[s]][0] != s):
             continue
         chain = []
         visited = {s}

@@ -33,10 +33,18 @@ entry paths of a vertex set as one listing per entering source, and the
 representation basis as one listing per sink.  The least rotation of a
 cycle compared every rotation's key tuple.  Those are kept here and
 compared with the per-graph count table and the one listing walk.
+
+Vertex classes were re-derived per call by scanning a vertex's bundles
+for omega, in ``classify_vertex``, ``is_saturated`` and
+``breaking_vertices``; the census read each lone cycle with its own walk;
+shift-tail equivalence built the set of every rotation of a cycle.
+Those are kept here and compared with the per-graph class table,
+``simple_cycles`` and ``st_equivalent``.
 """
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -48,7 +56,13 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from leavitt.algebra import Monomial, dimension, element, multiply_monomials  # noqa: E402
-from leavitt.boundary import _doubled_component, enumerate_classes  # noqa: E402
+from leavitt.boundary import (  # noqa: E402
+    BoundaryPath,
+    boundary_path,
+    enumerate_classes,
+    shift,
+    st_equivalent,
+)
 from leavitt.errors import InternalInvariantError, NotFinitelyPresentableError  # noqa: E402
 from leavitt.graph import (  # noqa: E402
     OMEGA,
@@ -59,6 +73,7 @@ from leavitt.graph import (  # noqa: E402
     VertexClass,
     _least_rotation,
     _postorder,
+    breaking_vertices,
     bundle_circuits,
     classify_vertex,
     concat,
@@ -67,7 +82,9 @@ from leavitt.graph import (  # noqa: E402
     downward_directed,
     entry_paths,
     has_cycle,
+    is_hereditary,
     is_omega,
+    is_saturated,
     line_points,
     line_through,
     out_degree,
@@ -75,6 +92,8 @@ from leavitt.graph import (  # noqa: E402
     paths_into,
     saturate,
     saturation_stages,
+    simple_cycles,
+    singular_vertices,
     starts_with,
     strip_prefix,
     strongly_connected_components,
@@ -192,6 +211,28 @@ def circuit_weighted_doubling(g):
         if per_comp[c] >= 2:
             return True
     return False
+
+
+def lone_cycle_reading(g):
+    """The census's cycles, one walk per component along its only internal bundles.
+
+    Valid when no component carries two distinct simple cycles.
+    """
+    cycles = []
+    for comp in strongly_connected_components(g):
+        cset = set(comp)
+        refs = []
+        u = comp[0]
+        while True:
+            inside = [b for b in g.out_bundles(u) if b.range in cset]
+            if not inside:
+                break
+            refs.append(EdgeRef(inside[0].name, 0))
+            u = inside[0].range
+            if u == comp[0]:
+                cycles.append(all_rotations_least(tuple(refs)))
+                break
+    return sorted(cycles, key=lambda c: (len(c), tuple(e.key() for e in c)))
 
 
 def all_rotations_least(cycle):
@@ -324,7 +365,7 @@ def test_circuit_walks_match_unpruned_walks(g):
 @SETTINGS
 @given(graphs())
 def test_edge_count_doubling_matches_circuits_and_networkx(g):
-    assert _doubled_component(g) == circuit_weighted_doubling(g) == nx_doubled(g)
+    assert bool(g._doubled) == circuit_weighted_doubling(g) == nx_doubled(g)
 
 
 @SETTINGS
@@ -333,12 +374,13 @@ def test_census_cycles_match_circuit_listing(g):
     census = enumerate_classes(g)
     if census.uncountable:
         return
+    circuits = unpruned_bundle_circuits(g)
     from_circuits = sorted(
-        (all_rotations_least(tuple(EdgeRef(b.name, 0) for b in c)) for c in bundle_circuits(g)),
+        (all_rotations_least(tuple(EdgeRef(b.name, 0) for b in c)) for c in circuits),
         key=lambda c: (len(c), tuple(e.key() for e in c)),
     )
     read_off = [c.representative.cycle for c in census.classes if c.representative.cycle]
-    assert read_off == from_circuits
+    assert read_off == from_circuits == lone_cycle_reading(g)
 
 
 @SETTINGS
@@ -861,7 +903,7 @@ def round_loop_saturation_stages(g, h):
     while True:
         new = set(hset)
         for v in g.vertices:
-            if v in new or classify_vertex(g, v) is not VertexClass.REGULAR:
+            if v in new or scan_classify_vertex(g, v) is not VertexClass.REGULAR:
                 continue
             if all(b.range in hset for b in g.out_bundles(v)):
                 new.add(v)
@@ -1030,3 +1072,115 @@ def test_lambda_matches_line_entry_loop(g):
         else:
             assert size == len(expected)
             assert lambda_index_set(g, v)[2] == expected
+
+
+# -- vertex classes and rotations: the per-call scans they replaced ----------------
+
+
+def scan_classify_vertex(g, v):
+    """Per call: a sink emits nothing, an infinite emitter has an omega bundle."""
+    out = g.out_bundles(v)
+    if not out:
+        return VertexClass.SINK
+    if any(is_omega(b.multiplicity) for b in out):
+        return VertexClass.INFINITE_EMITTER
+    return VertexClass.REGULAR
+
+
+def scan_is_saturated(g, h):
+    """Every vertex's bundles rescanned for omega and for a range outside H."""
+    hset = set(h)
+    for v in g.vertices:
+        out = g.out_bundles(v)
+        if v not in hset and out and all(
+            not is_omega(b.multiplicity) and b.range in hset for b in out
+        ):
+            return False
+    return True
+
+
+def scan_breaking_vertices(g, h):
+    """Every singular vertex outside H, its escaping edges counted bundle by bundle."""
+    hset = set(h)
+    result = []
+    for v in g.vertices:
+        if v in hset or scan_classify_vertex(g, v) is VertexClass.REGULAR:
+            continue
+        count = 0
+        infinite = False
+        for b in g.out_bundles(v):
+            if b.range in hset:
+                continue
+            if is_omega(b.multiplicity):
+                infinite = True
+                break
+            count += b.multiplicity
+        if not infinite and count > 0:
+            result.append(v)
+    return tuple(result)
+
+
+def rotation_set_st_equivalent(g, a, b):
+    """Shift-tail equivalence through the set of every rotation of a's cycle."""
+    if (a.cycle is None) != (b.cycle is None):
+        return False
+    if a.cycle is None:
+        return g.path_range(a.prefix) == g.path_range(b.prefix)
+    return b.cycle in {a.cycle[i:] + a.cycle[:i] for i in range(len(a.cycle))}
+
+
+def periodic_samples(g):
+    """Purely periodic paths around simple cycles and products of two, with shifts.
+
+    A product c·d·d or c·c·d of two distinct cycles through a shared vertex
+    is primitive but not simple, so its first edge can recur.
+    """
+    try:
+        cycles = simple_cycles(g)[:3]
+    except NotFinitelyPresentableError:
+        cycles = ()
+    loops = list(cycles)
+    for c in cycles:
+        v = g.source_of(c[0])
+        for d in cycles:
+            starts = [i for i, e in enumerate(d) if g.source_of(e) == v]
+            if starts:
+                d_at_v = d[starts[0] :] + d[: starts[0]]
+                loops += [c + d_at_v + d_at_v, c + c + d_at_v]
+    paths = []
+    for c in loops:
+        b = boundary_path(g, vertex_path(g.source_of(c[0])), c)
+        for _ in range(3):
+            paths.append(b)
+            b = shift(g, b)
+    return paths
+
+
+@SETTINGS
+@given(graphs())
+def test_vertex_classes_match_per_vertex_scan(g):
+    classes = [classify_vertex(g, v) for v in g.vertices]
+    assert classes == [scan_classify_vertex(g, v) for v in g.vertices]
+    singular = tuple(v for v, c in zip(g.vertices, classes) if c is not VertexClass.REGULAR)
+    assert singular_vertices(g) == singular
+
+
+@SETTINGS
+@given(graphs())
+def test_saturation_and_breaking_match_per_vertex_loops(g):
+    for r in range(len(g.vertices) + 1):
+        for h in combinations(g.vertices, r):
+            saturated = is_saturated(g, h)
+            assert saturated == scan_is_saturated(g, h)
+            if saturated and is_hereditary(g, h):
+                assert breaking_vertices(g, h) == scan_breaking_vertices(g, h)
+
+
+@SETTINGS
+@given(graphs())
+def test_st_equivalent_matches_rotation_set(g):
+    paths = periodic_samples(g)
+    paths += [BoundaryPath(vertex_path(v)) for v in singular_vertices(g)]
+    for a in paths:
+        for b in paths:
+            assert st_equivalent(g, a, b) == rotation_set_st_equivalent(g, a, b)
