@@ -44,13 +44,16 @@ from .graph import (
     Graph,
     Path,
     _postorder,
+    _tails,
     breaking_vertices,
     concat,
     count_paths_into,
     escaping_edges,
     has_cycle,
     is_omega,
+    path_key,
     render_path,
+    singular_vertices,
     starts_with,
     strip_prefix,
     vertex_path,
@@ -73,14 +76,9 @@ def monomial(g: Graph, alpha: Path, beta: Path) -> Monomial:
     return Monomial(alpha, beta)
 
 
-def _path_name_key(p: Path) -> tuple:
-    if p.length == 0:
-        return ((p.vertex, -1),)
-    return tuple(e.key() for e in p.edges)
-
-
 def monomial_key(m: Monomial) -> tuple:
-    return (m.alpha.length, m.beta.length, _path_name_key(m.alpha), _path_name_key(m.beta))
+    (la, alpha), (lb, beta) = path_key(m.alpha), path_key(m.beta)
+    return (la, lb, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -214,23 +212,6 @@ def _require_acyclic_finite(g: Graph, what: str) -> None:
         raise UnsupportedGraphError(f"{what} requires an acyclic graph")
 
 
-def _paths_to_sinks(g: Graph, v: str) -> list[Path]:
-    """All paths from ``v`` to sinks, the length-0 path included when v is a sink."""
-    ending = {}  # vertex -> its paths to sinks
-    for u in _postorder(g._index.succ, (v,)):
-        out = g.out_bundles(u)
-        if not out:
-            ending[u] = [vertex_path(u)]
-            continue
-        ending[u] = [
-            Path(edges=(EdgeRef(b.name, i),) + tail.edges)
-            for b in out
-            for tail in ending[b.range]
-            for i in range(b.multiplicity)
-        ]
-    return ending[v]
-
-
 def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     """Rewrite onto the sink basis: monomials whose common range is a sink.
 
@@ -240,14 +221,13 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     supported (otherwise the rewriting does not terminate).
     """
     _require_acyclic_finite(g, "normal form")
+    # children first over the descendants of the ranges: each after the ranges of its bundles
+    order = _postorder(g._index.succ, (g.path_range(m.alpha) for m, _ in x.terms))
+    tails = _tails(g, {t: [()] for t in singular_vertices(g)}, order)
     acc: dict[Monomial, Fraction] = {}
-    cache: dict[str, list[Path]] = {}
     for m, c in x.terms:
-        v = g.path_range(m.alpha)
-        if v not in cache:
-            cache[v] = _paths_to_sinks(g, v)
-        for ext in cache[v]:
-            mm = Monomial(concat(m.alpha, ext), concat(m.beta, ext))
+        for e in tails[g.path_range(m.alpha)]:
+            mm = Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m
             acc[mm] = acc.get(mm, Fraction(0)) + c
     return element(acc)
 
@@ -265,12 +245,7 @@ def dimension(g: Graph) -> int:
     number of paths into the sink.
     """
     _require_acyclic_finite(g, "dimension")
-    total = 0
-    for v in g.vertices:
-        if not g.out_bundles(v):
-            n = count_paths_into(g, v)
-            total += n * n
-    return total
+    return sum(count_paths_into(g, t) ** 2 for t in singular_vertices(g))
 
 
 # -- text form -------------------------------------------------------------

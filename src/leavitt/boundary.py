@@ -85,12 +85,16 @@ def boundary_path(g: Graph, prefix: Path, cycle=None) -> BoundaryPath:
     if g.path_source(as_path) != g.path_range(prefix):
         raise ContractError("cycle must start where the prefix ends")
     cycle = _primitive_root(cycle)
-    edges = list(prefix.edges) if prefix.length else []
-    while edges and edges[-1] == cycle[-1]:
-        edges.pop()
-        cycle = cycle[-1:] + cycle[:-1]
-    if edges:
-        prefix = Path(edges=tuple(edges))
+    edges = prefix.edges
+    n = len(cycle)
+    # absorbing k edges rotates the cycle right by k: count them, rotate once
+    k = 0
+    while k < len(edges) and edges[-1 - k] == cycle[-1 - k % n]:
+        k += 1
+    cut = n - k % n
+    cycle = cycle[cut:] + cycle[:cut]
+    if k < len(edges):
+        prefix = Path(edges=edges[: len(edges) - k])
     else:
         prefix = vertex_path(g.source_of(cycle[0]))
     return BoundaryPath(prefix, cycle)
@@ -113,11 +117,14 @@ def st_equivalent(g: Graph, a: BoundaryPath, b: BoundaryPath) -> bool:
         return False
     if a.cycle is None:
         return g.path_range(a.prefix) == g.path_range(b.prefix)
-    # only a rotation starting with b's first edge can equal b's cycle
-    head = b.cycle[0]
-    return any(
-        e == head and a.cycle[i:] + a.cycle[:i] == b.cycle for i, e in enumerate(a.cycle)
-    )
+    # b's cycle is a rotation of a's iff it occurs in a's read twice: a
+    # linear string search over per-edge codes, each closed by a comma
+    code = {}
+
+    def text(cycle):
+        return "".join(f"{code.setdefault(e, len(code))}," for e in cycle)
+
+    return len(a.cycle) == len(b.cycle) and "," + text(b.cycle) in "," + text(a.cycle) * 2
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,22 @@ class Graph:
 
     @cached_property
     def _sccs(self) -> tuple[tuple[str, ...], ...]:
-        return _tarjan(self)
+        """SCC partition by Kosaraju-Sharir, ordered as ``strongly_connected_components`` says.
+
+        Taken in reverse walk order along successors, a vertex not yet
+        placed lies in a component that no unplaced vertex outside it
+        reaches, so the unplaced vertices reaching it along predecessors
+        are exactly its component.
+        """
+        placed = set()
+        comps = [
+            _postorder(self._index.pred, (v,), placed)
+            for v in reversed(_postorder(self._index.succ, self.vertices))
+        ]
+        position = self._index.position
+        ordered = [tuple(sorted(c, key=position.get)) for c in comps if c]
+        ordered.sort(key=lambda c: position[c[0]])
+        return tuple(ordered)
 
     @cached_property
     def _comp_of(self) -> dict[str, int]:
@@ -417,15 +432,17 @@ def out_degree(g: Graph, v: str) -> Multiplicity:
 # -- reachability ------------------------------------------------------
 
 
-def _postorder(adj: dict, roots) -> list[str]:
+def _postorder(adj: dict, roots, seen=None) -> list[str]:
     """Vertices reachable from ``roots`` along ``adj`` (vertex -> neighbours), roots included.
 
     Each vertex is listed after every neighbour, except one still open on
     the walk, which happens only on a cycle; so where no cycle is reached
-    the order is children first.  Iterative: no recursion-depth ceiling.
+    the order is children first.  Vertices already in ``seen`` are not
+    entered, and the walk adds those it lists.  Iterative: no
+    recursion-depth ceiling.
     """
     order = []
-    seen = set()
+    seen = set() if seen is None else seen
     stack = [(None, iter(roots))]  # a virtual vertex over the roots, listed last
     while stack:
         u, it = stack[-1]
@@ -571,55 +588,6 @@ def downward_directed(g: Graph) -> bool:
 # -- strongly connected components and cycles ---------------------------
 
 
-def _tarjan(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """SCC partition by iterative Tarjan, ordered as ``strongly_connected_components`` says."""
-    index = g._index.position
-    adj = g._index.succ
-    low = {}
-    disc = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in disc:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], disc[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == disc[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    ordered = [tuple(sorted(c, key=index.get)) for c in comps]
-    ordered.sort(key=lambda c: index[c[0]])
-    return tuple(ordered)
-
-
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """SCC partition, each component ordered, components by first vertex.
 
@@ -714,26 +682,18 @@ def line_points(g: Graph) -> tuple[str, ...]:
     more edges (counting bundle multiplicities; omega counts as two or
     more) and no reachable vertex lies on a cycle.  Every sink is a line
     point.  Equivalently, ``v`` is not on a cycle, emits at most one edge,
-    and its successor, if any, is a line point: one memoised walk along
-    successors decides every vertex in linear time.
+    and its successor, if any, is a line point: one children-first pass
+    decides every vertex in linear time.
     """
     cyclic = g._cyclic
     out = g._index.out
     verdict = {}
-    for v in g.vertices:
-        walk = []
-        u = v
-        while u not in verdict:
-            bs = out[u]
-            if not bs:
-                verdict[u] = True
-            elif u in cyclic or len(bs) > 1 or bs[0].multiplicity != 1:
-                verdict[u] = False
-            else:
-                walk.append(u)
-                u = bs[0].range
-        for w in walk:
-            verdict[w] = verdict[u]
+    # a vertex off every cycle is listed after its successor
+    for v in _postorder(g._index.succ, g.vertices):
+        bs = out[v]
+        verdict[v] = not bs or (
+            v not in cyclic and len(bs) == 1 and bs[0].multiplicity == 1 and verdict[bs[0].range]
+        )
     return tuple(v for v in g.vertices if verdict[v])
 
 
@@ -773,16 +733,27 @@ def _paths_ending(g: Graph, ends: dict) -> list[Path]:
     Built by prepending, so the paths share their suffixes' edge refs.
     """
     ancestors = _postorder(g._index.pred, ends)
-    # Reversed, the order lists every ancestor after the ranges of its
-    # bundles; a range outside the ancestries has no tails.
-    tails = {}  # ancestor -> edge tuples of its paths
-    for u in reversed(ancestors):
+    # reversed, the order lists every ancestor after the ranges of its bundles
+    tails = _tails(g, ends, reversed(ancestors))
+    return [Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]]
+
+
+def _tails(g: Graph, ends: dict, order) -> dict[str, list[tuple[EdgeRef, ...]]]:
+    """Each vertex u of ``order`` -> the edge tuples of its paths, as ``_paths_ending`` says.
+
+    A path runs from u into a key x of ``ends`` and is followed by a tail
+    in ``ends[x]``.  ``order`` must list every vertex after those ranges
+    of its bundles that it lists at all; a range it leaves out has no
+    paths.
+    """
+    tails = {}
+    for u in order:
         acc = list(ends.get(u, ()))
         for b in g._index.out[u]:
             for tail in tails.get(b.range, ()):
                 acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
         tails[u] = acc
-    return [Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]]
+    return tails
 
 
 def count_paths_into(g: Graph, v: str) -> int | None:

@@ -37,6 +37,7 @@ from .graph import (
     path_key,
     render_edge_ref,
     saturate,
+    singular_vertices,
     tree_of,
     vertex_path,
 )
@@ -56,7 +57,7 @@ class BoundaryRepresentation:
     def __init__(self, g: Graph):
         _require_acyclic_finite(g, "the representation")
         self.graph = g
-        sinks = [v for v in g.vertices if not g.out_bundles(v)]
+        sinks = singular_vertices(g)
         basis = sorted(_paths_ending(g, {t: [()] for t in sinks}), key=path_key)
         self.basis = tuple(basis)
         self.index = index = {p: i for i, p in enumerate(basis)}
@@ -504,7 +505,7 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     if dimension(g) != n * n:
         raise InternalInvariantError("algebra dimension differs from |Lambda|^2")
     end = sys.line[-1]
-    if [t for t in g.vertices if not g.out_bundles(t)] != [end]:
+    if singular_vertices(g) != (end,):
         raise InternalInvariantError("the end of the line is not the only sink")
     lam_index = {p: c for c, p in enumerate(sys.lam)}
     line_edges = set(sys.line_edges)

@@ -25,11 +25,16 @@ def base_graphs(max_vertices=4, max_bundles=5):
                 yield Graph(vs, bundles)
 
 
+def omega_promotion(g, i):
+    """``g`` with its i-th bundle promoted to omega."""
+    b = g.bundles[i]
+    promoted = Bundle(b.name, b.source, b.range, OMEGA)
+    return Graph(g.vertices, g.bundles[:i] + (promoted,) + g.bundles[i + 1 :])
+
+
 def omega_promotions(g):
-    for i, b in enumerate(g.bundles):
-        promoted = list(g.bundles)
-        promoted[i] = Bundle(b.name, b.source, b.range, OMEGA)
-        yield Graph(g.vertices, tuple(promoted))
+    for i in range(len(g.bundles)):
+        yield omega_promotion(g, i)
 
 
 def sweep_graphs(max_vertices=4, max_bundles=5):

@@ -90,6 +90,23 @@ def test_two_cycle_absorption_rotates():
     assert b.prefix.length == 0 and b.cycle == (x, y)
 
 
+def test_long_prefix_absorbed_in_linear_time():
+    # absorbing one edge at a time rebuilt the rotated cycle at every step:
+    # 2.4 s at n = 16,000 on a 2-core VM
+    n = 16000
+    vs = tuple(f"v{i}" for i in range(n))
+    g = Graph(vs, tuple(Bundle(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)))
+    cycle = tuple(g.edge(f"e{i}") for i in range(n))
+    prefix = g.path(*cycle[5:])
+    start = time.perf_counter()
+    b = boundary_path(g, prefix, cycle)
+    assert time.perf_counter() - start < 1.0
+    assert b == BoundaryPath(vertex_path("v5"), cycle[5:] + cycle[:5])
+    # a prefix longer than the cycle wraps around it
+    wrapped = boundary_path(g, g.path(*cycle[3:], *cycle), cycle)
+    assert wrapped == BoundaryPath(vertex_path("v3"), cycle[3:] + cycle[:3])
+
+
 # -- shift ---------------------------------------------------------------------
 
 
@@ -146,6 +163,23 @@ def test_st_equivalent_cycles():
     ef = boundary_path(ROSE2, ROSE2.vertex_path("v"), (ROSE2.edge("e"), ROSE2.edge("f")))
     fe = boundary_path(ROSE2, ROSE2.path("e"), (ROSE2.edge("f"), ROSE2.edge("e")))
     assert st_equivalent(ROSE2, ef, fe)
+
+
+def test_st_equivalent_in_linear_time_when_the_first_edge_recurs():
+    # building one rotation per recurrence of b's first edge took 1.8 s
+    # at k = 20,000 on a 2-core VM
+    k = 20000
+    g = Graph(("v", "w"), (Bundle("e", "v", "v"), Bundle("f", "v", "w"), Bundle("g", "w", "v")))
+    e, f, h = g.edge("e"), g.edge("f"), g.edge("g")
+    a = boundary_path(g, vertex_path("v"), (e,) * k + (f, h))
+    half = boundary_path(g, vertex_path("v"), (e,) * (k // 2) + (f, h) + (e,) * (k // 2))
+    other = boundary_path(g, vertex_path("v"), (e,) * (k - 1) + (f, h, e))
+    twice = boundary_path(g, vertex_path("v"), (e,) * (k - 2) + (f, h, f, h))
+    start = time.perf_counter()
+    assert st_equivalent(g, a, half)
+    assert st_equivalent(g, half, other)
+    assert not st_equivalent(g, a, twice)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_st_equivalent_never_mixes_finite_and_infinite():

@@ -40,6 +40,13 @@ for omega, in ``classify_vertex``, ``is_saturated`` and
 shift-tail equivalence built the set of every rotation of a cycle.
 Those are kept here and compared with the per-graph class table,
 ``simple_cycles`` and ``st_equivalent``.
+
+Strongly connected components came from a Tarjan walk of their own, and
+the normal form expanded each term range with its own walk to the
+sinks, building a Path for every descendant.  Both are kept here and
+compared with the two passes of the one walk (as ordered tuples, which
+the networkx comparison does not check) and with the shared listing
+recurrence.
 """
 
 import time
@@ -55,7 +62,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from leavitt.algebra import Monomial, dimension, element, multiply_monomials  # noqa: E402
+from leavitt.algebra import (  # noqa: E402
+    Monomial,
+    dimension,
+    element,
+    multiply_monomials,
+    normal_form,
+)
 from leavitt.boundary import (  # noqa: E402
     BoundaryPath,
     boundary_path,
@@ -388,6 +401,61 @@ def test_census_cycles_match_circuit_listing(g):
 def test_sccs_match_networkx(g):
     ours = {frozenset(c) for c in strongly_connected_components(g)}
     assert ours == {frozenset(c) for c in nx.strongly_connected_components(to_networkx(g))}
+
+
+def tarjan_sccs(g):
+    """SCC partition by iterative Tarjan, each component ordered, components by first vertex."""
+    index = g._index.position
+    adj = g._index.succ
+    low = {}
+    disc = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    counter = 0
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in disc:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], disc[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == disc[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    ordered = [tuple(sorted(c, key=index.get)) for c in comps]
+    ordered.sort(key=lambda c: index[c[0]])
+    return tuple(ordered)
+
+
+@SETTINGS
+@given(graphs())
+def test_sccs_match_tarjan_in_order(g):
+    assert strongly_connected_components(g) == tarjan_sccs(g)
 
 
 def pairwise_downward_directed(g):
@@ -879,6 +947,56 @@ def test_evaluate_matches_basis_scan(g, data):
         terms.append((Monomial(alpha, beta), c))
     x = element(terms)
     assert evaluate(R, x) == scanning_evaluate(R, x)
+
+
+def per_range_normal_form(g, x):
+    """The sink-basis rewrite with one cached walk per term range, building a Path per descendant."""
+
+    def paths_to_sinks(v):
+        ending = {}  # vertex -> its paths to sinks
+        for u in _postorder(g._index.succ, (v,)):
+            out = g.out_bundles(u)
+            if not out:
+                ending[u] = [vertex_path(u)]
+                continue
+            ending[u] = [
+                Path(edges=(EdgeRef(b.name, i),) + tail.edges)
+                for b in out
+                for tail in ending[b.range]
+                for i in range(b.multiplicity)
+            ]
+        return ending[v]
+
+    acc = {}
+    cache = {}
+    for m, c in x.terms:
+        v = g.path_range(m.alpha)
+        if v not in cache:
+            cache[v] = paths_to_sinks(v)
+        for ext in cache[v]:
+            mm = Monomial(concat(m.alpha, ext), concat(m.beta, ext))
+            acc[mm] = acc.get(mm, Fraction(0)) + c
+    return element(acc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(acyclic_graphs(), st.data())
+def test_normal_form_matches_per_range_expansion(g, data):
+    by_range = {v: paths_into(g, v) for v in g.vertices}
+    paths = [p for ps in by_range.values() for p in ps]
+    sinks = [v for v in g.vertices if not g.out_bundles(v)]
+    terms = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        if data.draw(st.booleans()):
+            # a term whose range is a sink is already in normal form
+            alpha = data.draw(st.sampled_from([p for t in sinks for p in by_range[t]]))
+        else:
+            alpha = data.draw(st.sampled_from(paths))
+        beta = data.draw(st.sampled_from(by_range[g.path_range(alpha)]))
+        c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        terms.append((Monomial(alpha, beta), c))
+    x = element(terms)
+    assert normal_form(g, x) == per_range_normal_form(g, x)
 
 
 def test_relation_checks_reject_overlapping_images():
