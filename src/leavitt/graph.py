@@ -549,6 +549,11 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
     hset = _check_subset(g, h)
     if not is_hereditary(g, hset) or not is_saturated(g, hset):
         raise ContractError("breaking vertices are defined for saturated hereditary sets")
+    return _breaking_vertices(g, hset)
+
+
+def _breaking_vertices(g: Graph, hset: set) -> tuple[str, ...]:
+    """``breaking_vertices`` of a set the caller has already validated."""
     out = g._index.out
     escaping = {
         v: [b.multiplicity for b in out[v] if b.range not in hset]

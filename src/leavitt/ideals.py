@@ -17,6 +17,9 @@ from .errors import ContractError, SizeGuardError
 from .graph import (
     Bundle,
     Graph,
+    VertexClass,
+    _breaking_vertices,
+    _postorder,
     breaking_vertices,
     entry_paths,
     is_hereditary,
@@ -38,19 +41,25 @@ class AdmissiblePair:
 
 def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     """Validate and order an admissible pair."""
+    return _checked_pair(g, h, s)[0]
+
+
+def _checked_pair(g: Graph, h, s) -> tuple[AdmissiblePair, tuple[str, ...]]:
+    """``admissible_pair`` plus the breaking vertices of ``h``, validating ``h`` once."""
     hset = set(h)
     sset = set(s)
     if not is_hereditary(g, hset):
         raise ContractError("H must be hereditary")
     if not is_saturated(g, hset):
         raise ContractError("H must be saturated")
-    allowed = set(breaking_vertices(g, hset))
-    if not sset <= allowed:
+    breaking = _breaking_vertices(g, hset)
+    if not sset <= set(breaking):
         raise ContractError(f"S must consist of breaking vertices of H; got {sorted(sset)}")
-    return AdmissiblePair(
+    pair = AdmissiblePair(
         tuple(v for v in g.vertices if v in hset),
         tuple(v for v in g.vertices if v in sset),
     )
+    return pair, breaking
 
 
 def _fresh(base: str, taken: set) -> str:
@@ -70,9 +79,9 @@ def quotient_with_map(g: Graph, pair: AdmissiblePair) -> tuple[Graph, dict[str, 
     the original graph or ("gap", v) for the sink standing in for the gap
     projection of a breaking vertex v outside S.
     """
-    pair = admissible_pair(g, pair.h, pair.s)
+    pair, breaking = _checked_pair(g, pair.h, pair.s)
     hset = set(pair.h)
-    gaps = [v for v in breaking_vertices(g, hset) if v not in pair.s]
+    gaps = [v for v in breaking if v not in pair.s]
     kept = [v for v in g.vertices if v not in hset]
     taken = set(kept)
     origin = {v: ("real", v) for v in kept}
@@ -126,11 +135,93 @@ def ideal_graph(g: Graph, h) -> Graph:
     return Graph(hbar + tuple(n for n, _ in entry_names), tuple(bundles))
 
 
+def _closed(ranges, m: int) -> int:
+    """The saturation of the hereditary vertex mask ``m``, in one pass.
+
+    ``ranges`` pairs the bit of each regular vertex with the mask of its
+    ranges, in ``_postorder`` order along successors.  The set stays
+    hereditary, so a vertex on a cycle is never adjoined: its successor
+    on the cycle reaches it.  A vertex off every cycle comes after all
+    its successors, so when the pass reaches it every successor that
+    saturation adjoins has been adjoined.
+    """
+    for b, r in ranges:
+        if not m & b and r & m == r:
+            m |= b
+    return m
+
+
+def _saturated_hereditary_masks(g: Graph) -> list[int]:
+    """Every saturated hereditary set, as a mask over vertex positions, unordered.
+
+    Flashlight search (Read-Tarjan 1975) over states (C, X): C is a
+    saturated hereditary set and X a set of excluded vertices disjoint
+    from it, and the state stands for every saturated hereditary H with
+    C <= H and H disjoint from X.  Saturated hereditary sets are closed
+    under intersection, so the least one containing C and a vertex v is
+    the saturation C' of C together with the tree of v, and some H of the
+    state contains v iff C' avoids X.  A state walks its undecided
+    vertices in order: each v with C' disjoint from X pushes the state
+    (C', X), which holds C' itself, and then joins X; at the end of the
+    walk every vertex is in C or X and C is listed.  The states partition
+    the sets, so each set is listed exactly once, by the state that
+    holds it as C.  So the search pops one state per set, each making at
+    most n closure tests of one pass over the regular vertices: at most
+    n times as many tests as there are sets.  Iterative, with an
+    explicit stack.
+    """
+    succ = g._index.succ
+    position = g._index.position
+    order = _postorder(succ, g.vertices)
+    bit = {v: 1 << position[v] for v in order}
+    tree = dict.fromkeys(order, 0)
+    grew = True
+    while grew:  # one pass where no cycle intervenes, and one to confirm
+        grew = False
+        for v in order:
+            m = bit[v]
+            for w in succ[v]:
+                m |= tree[w]
+            if m != tree[v]:
+                tree[v] = m
+                grew = True
+    ranges = []
+    for v in order:
+        if g._classes[v] is VertexClass.REGULAR:
+            r = 0
+            for w in succ[v]:
+                r |= bit[w]
+            ranges.append((bit[v], r))
+    trees = [tree[v] for v in g.vertices]
+    found = []
+    stack = [(0, 0, 0)]  # (C, X, first undecided position); the empty set is saturated
+    while stack:
+        c, x, i = stack.pop()
+        for j in range(i, len(trees)):
+            b = 1 << j
+            if (c | x) & b:
+                continue
+            wider = _closed(ranges, c | trees[j])
+            if not wider & x:
+                stack.append((wider, x, j + 1))
+            x |= b
+        found.append(c)
+    return found
+
+
 def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     """Every admissible pair, ordered by (|H|, H, |S|, S) in vertex order.
 
+    The saturated hereditary sets come from a flashlight search that
+    makes at most n closure tests per set (see
+    ``_saturated_hereditary_masks``), so the time grows with the output,
+    not with the 2^n vertex subsets.  Each H is certified saturated and
+    hereditary again by ``breaking_vertices``, and every S within its
+    breaking vertices is listed.
+
     Guarded: refuses graphs with more than PAIR_ENUMERATION_LIMIT
-    vertices, since the enumeration walks all vertex subsets.
+    vertices, since the number of pairs can still grow as 2^n and nothing
+    counts them before they are listed.
     """
     n = len(g.vertices)
     if n > PAIR_ENUMERATION_LIMIT:
@@ -138,14 +229,13 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
             f"admissible-pair enumeration is limited to {PAIR_ENUMERATION_LIMIT} vertices; "
             f"graph has {n}"
         )
+    sets = [tuple(i for i in range(n) if m >> i & 1) for m in _saturated_hereditary_masks(g)]
+    sets.sort(key=lambda positions: (len(positions), positions))
     pairs = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            h = tuple(g.vertices[i] for i in combo)
-            if not (is_hereditary(g, h) and is_saturated(g, h)):
-                continue
-            br = breaking_vertices(g, h)
-            for ssize in range(len(br) + 1):
-                for scombo in combinations(br, ssize):
-                    pairs.append(AdmissiblePair(h, tuple(scombo)))
+    for positions in sets:
+        h = tuple(g.vertices[i] for i in positions)
+        br = breaking_vertices(g, h)
+        for ssize in range(len(br) + 1):
+            for scombo in combinations(br, ssize):
+                pairs.append(AdmissiblePair(h, scombo))
     return tuple(pairs)

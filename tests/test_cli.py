@@ -386,6 +386,47 @@ def test_analyze_long_cycle_in_linear_time(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["simple_cycles"] == [cycle]
 
 
+def comb(k):
+    """Spine s0 -> ... -> s(k-1) with a tooth sink t_i under each s_i: 2^k pairs."""
+    s = [f"s{i}" for i in range(k)]
+    t = [f"t{i}" for i in range(k)]
+    bundles = [Bundle(f"f{i}", s[i], s[i + 1]) for i in range(k - 1)]
+    bundles += [Bundle(f"g{i}", s[i], t[i]) for i in range(k)]
+    return Graph(tuple(s + t), tuple(bundles))
+
+
+@pytest.mark.parametrize("name, count", [("line", 2), ("comb", 1024)])
+def test_ideals_at_the_guard_in_output_sized_time(tmp_path, capsys, name, count):
+    # walking all 2^20 vertex subsets took 6.1 s on line(20) and 6.9 s on
+    # comb(10) on a 2-core VM
+    if name == "line":
+        path = write_line(tmp_path, 20)
+    else:
+        path = tmp_path / "comb.json"
+        path.write_text(render_document(comb(10)))
+
+    start = time.perf_counter()
+    assert main(["ideals", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"admissible pairs: {count}" and len(lines) == count + 1
+
+    start = time.perf_counter()
+    assert main(["ideals", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == count and len(doc["pairs"]) == count
+
+
+def test_ideals_refuses_more_than_20_vertices(tmp_path, capsys):
+    assert main(["ideals", str(write_line(tmp_path, 21))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: admissible-pair enumeration is limited to 20 vertices; graph has 21\n"
+    )
+
+
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):
     expected = {}
     for name in FIXTURES:

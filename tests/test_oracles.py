@@ -47,6 +47,12 @@ sinks, building a Path for every descendant.  Both are kept here and
 compared with the two passes of the one walk (as ordered tuples, which
 the networkx comparison does not check) and with the shared listing
 recurrence.
+
+Admissible pairs came from a walk over all 2^n vertex subsets, testing
+each for being hereditary and saturated.  It is kept here and compared,
+as the exact ordered tuple, with the flashlight search on hypothesis
+graphs of up to 10 vertices, and the search with closed forms on combs
+and lines up to the 20-vertex guard.
 """
 
 import time
@@ -114,7 +120,12 @@ from leavitt.graph import (  # noqa: E402
     vertex_path,
     vertices_on_cycles,
 )
-from leavitt.ideals import _fresh, ideal_graph  # noqa: E402
+from leavitt.ideals import (  # noqa: E402
+    AdmissiblePair,
+    _fresh,
+    enumerate_admissible_pairs,
+    ideal_graph,
+)
 from leavitt.naimark import check_condition5  # noqa: E402
 from leavitt.repn import (  # noqa: E402
     MatrixUnitSystem,
@@ -137,8 +148,8 @@ SETTINGS = settings(max_examples=400, deadline=None, database=None)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 8))
+def graphs(draw, max_vertices=8):
+    n = draw(st.integers(1, max_vertices))
     vs = tuple(f"v{i}" for i in range(n))
     vertex = st.sampled_from(vs)
     k = draw(st.integers(0, 14))
@@ -1302,3 +1313,52 @@ def test_st_equivalent_matches_rotation_set(g):
     for a in paths:
         for b in paths:
             assert st_equivalent(g, a, b) == rotation_set_st_equivalent(g, a, b)
+
+
+def subset_walk_pairs(g):
+    """Admissible pairs by testing every vertex subset, in (|H|, H, |S|, S) order."""
+    n = len(g.vertices)
+    pairs = []
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            h = tuple(g.vertices[i] for i in combo)
+            if not (is_hereditary(g, h) and is_saturated(g, h)):
+                continue
+            br = breaking_vertices(g, h)
+            for ssize in range(len(br) + 1):
+                for scombo in combinations(br, ssize):
+                    pairs.append(AdmissiblePair(h, tuple(scombo)))
+    return tuple(pairs)
+
+
+@SETTINGS
+@given(graphs(max_vertices=10))
+def test_admissible_pairs_match_subset_walk(g):
+    assert enumerate_admissible_pairs(g) == subset_walk_pairs(g)
+
+
+def looped_line(n):
+    """v0 -> v1 -> ... -> v(n-1) with a loop at every vertex."""
+    vs = tuple(f"v{i}" for i in range(n))
+    bundles = [Bundle(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    bundles += [Bundle(f"l{i}", v, v) for i, v in enumerate(vs)]
+    return Graph(vs, tuple(bundles))
+
+
+def test_admissible_pairs_closed_forms():
+    # a spine tail from s_j plus any teeth t_i with i < j - 1: 2^k sets, and
+    # with no infinite emitter each set is one pair
+    for k in range(1, 11):
+        pairs = enumerate_admissible_pairs(comb(k))
+        assert len(pairs) == 2**k and not any(p.s for p in pairs)
+        if k <= 5:
+            assert pairs == subset_walk_pairs(comb(k))
+    for n in range(1, 21):
+        vs = tuple(f"v{i}" for i in range(n))
+        line = Graph(vs, tuple(Bundle(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)))
+        # a line saturates from its sink to every vertex: only the trivial pairs
+        assert [p.h for p in enumerate_admissible_pairs(line)] == [(), vs]
+        # with a loop at every vertex no vertex is pulled in: the n + 1 tails
+        assert [p.h for p in enumerate_admissible_pairs(looped_line(n))] == [
+            vs[i:] for i in range(n, -1, -1)
+        ]
