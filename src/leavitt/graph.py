@@ -485,12 +485,10 @@ def is_hereditary(g: Graph, h) -> bool:
 def is_saturated(g: Graph, h) -> bool:
     """True iff every regular vertex whose outgoing ranges all lie in ``h`` is in ``h``."""
     hset = _check_subset(g, h)
-    out = g._index.out
-    regular = VertexClass.REGULAR
-    for v, c in g._classes.items():
-        if c is regular and v not in hset and all(b.range in hset for b in out[v]):
-            return False
-    return True
+    succ, regular = g._index.succ, VertexClass.REGULAR
+    return not any(
+        c is regular and v not in hset and hset.issuperset(succ[v]) for v, c in g._classes.items()
+    )
 
 
 def _saturation_rounds(g: Graph, h):
@@ -555,10 +553,11 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
 def _breaking_vertices(g: Graph, hset: set) -> tuple[str, ...]:
     """``breaking_vertices`` of a set the caller has already validated."""
     out = g._index.out
+    emitter = VertexClass.INFINITE_EMITTER
     escaping = {
         v: [b.multiplicity for b in out[v] if b.range not in hset]
         for v, c in g._classes.items()
-        if c is VertexClass.INFINITE_EMITTER
+        if c is emitter
     }
     return tuple(v for v, ms in escaping.items() if ms and not any(map(is_omega, ms)))
 

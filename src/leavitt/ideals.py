@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ContractError, SizeGuardError
+from .errors import ContractError, InternalInvariantError, SizeGuardError
 from .graph import (
     Bundle,
     Graph,
     VertexClass,
     _breaking_vertices,
     _postorder,
-    breaking_vertices,
     entry_paths,
     is_hereditary,
     is_saturated,
@@ -206,6 +205,12 @@ def _saturated_hereditary_masks(g: Graph) -> list[int]:
                 stack.append((wider, x, j + 1))
             x |= b
         found.append(c)
+    ends = [(bit[b.source], bit[b.range]) for b in g.bundles]
+    regular = sum(b for b, _ in ranges)
+    for m in found:  # hereditary, and no regular vertex outside m has all ranges in m
+        escaping = sum({s for s, r in ends if not m & r})  # sources leaving m: distinct bits
+        if escaping & m or regular & ~(m | escaping):
+            raise InternalInvariantError(f"listed set {m:b} is not saturated hereditary")
     return found
 
 
@@ -215,9 +220,8 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     The saturated hereditary sets come from a flashlight search that
     makes at most n closure tests per set (see
     ``_saturated_hereditary_masks``), so the time grows with the output,
-    not with the 2^n vertex subsets.  Each H is certified saturated and
-    hereditary again by ``breaking_vertices``, and every S within its
-    breaking vertices is listed.
+    not with the 2^n vertex subsets, and each set is certified saturated
+    and hereditary again.  Every S within its breaking vertices is listed.
 
     Guarded: refuses graphs with more than PAIR_ENUMERATION_LIMIT
     vertices, since the number of pairs can still grow as 2^n and nothing
@@ -234,7 +238,7 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     pairs = []
     for positions in sets:
         h = tuple(g.vertices[i] for i in positions)
-        br = breaking_vertices(g, h)
+        br = _breaking_vertices(g, set(h))
         for ssize in range(len(br) + 1):
             for scombo in combinations(br, ssize):
                 pairs.append(AdmissiblePair(h, scombo))

@@ -7,10 +7,10 @@ tree saturates to the whole vertex set.  In the positive case the
 algebra is the full matrix algebra over the matrix-unit index set of the
 witnessing line point.
 
-When the class census is finite, iterating the witness extraction inside
-successive quotient graphs builds a composition series of admissible
-pairs whose elementary factors are matrix algebras; its length equals
-the class count.  With a cycle present the spectrum is uncountable.
+When the class census is finite, repeated line-point extraction from
+the quotient by the ideal so far, kept implicit, builds a composition
+series of admissible pairs whose factors are matrix algebras; its length
+equals the class count.  With a cycle present the spectrum is uncountable.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .graph import (
     line_points,
     saturate,
     saturation_stages,
+    singular_vertices,
     tree_of,
 )
-from .ideals import AdmissiblePair, admissible_pair, quotient_with_map
+from .ideals import AdmissiblePair, admissible_pair
 from .repn import lambda_size
 
 
@@ -42,11 +43,17 @@ def check_condition4(g: Graph) -> bool:
 
 
 def check_condition5(g: Graph) -> str | None:
-    """First line point whose tree saturates to every vertex, if any."""
-    full = set(g.vertices)
-    for v in line_points(g):
-        if set(saturate(g, tree_of(g, v))) == full:
-            return v
+    """First line point whose tree saturates to every vertex, if any.
+
+    A line point's tree is its line, which saturates as its end sink t
+    does, and saturation adjoins only regular vertices.  So a witness
+    exists iff t is the only singular vertex and saturates to every
+    vertex; then every line point ends at t and is one: O(n + m).
+    """
+    singular = singular_vertices(g)
+    if len(singular) == 1 and not g.out_bundles(singular[0]):
+        if len(saturate(g, singular)) == len(g.vertices):
+            return line_points(g)[0]
     return None
 
 
@@ -114,71 +121,61 @@ class CompositionSeries:
         return len(self.factors)
 
 
-def _lift_pair(g: Graph, pair: AdmissiblePair, origin, closed) -> AdmissiblePair:
-    """Pull a saturated hereditary set of the quotient back to a pair of g.
-
-    A surviving vertex with a gap twin splits its projection into the gap
-    part (carried by the twin) and the escaping part (implied once the
-    escaping ranges die), so it joins H only together with its twin.
-    Plain survivors join H outright; absorbed gap sinks put their
-    breaking vertex into S.  A vertex slated for S whose escaping edges
-    all end up inside the enlarged H carries a projection that now lies
-    in the ideal, so it migrates into H, and saturation is re-run until
-    stable.
-    """
-    gap_of = {v: q for q, (kind, v) in origin.items() if kind == "gap"}
-    closed_set = set(closed)
-    h = set(pair.h)
-    pending = set(pair.s)
-    for q in closed:
-        kind, v = origin[q]
-        if kind == "gap":
-            pending.add(v)
-        elif v not in gap_of or gap_of[v] in closed_set:
-            h.add(v)
-    while True:
-        h = set(saturate(g, h))
-        moved = False
-        for v in sorted(pending - h):
-            if all(b.range in h for b in g.out_bundles(v)):
-                h.add(v)
-                moved = True
-        if not moved:
-            break
-    return admissible_pair(g, h, pending - h)
-
-
 def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
     """Build a composition series by repeated line-point extraction.
 
-    Each step picks the first (or, with ``reverse``, the last) line point
-    of the current quotient graph that is a surviving original vertex,
-    takes the saturation of its tree there, and lifts the resulting ideal
-    to an admissible pair of the original graph.  Requires an acyclic
-    graph; then the census is finite and the series length matches it.
+    Each step takes the first (or, with ``reverse``, the last) vertex of
+    g that is a line point w of the quotient by the pair so far, and
+    passes to the ideal of the saturation of w's tree there.  Requires an
+    acyclic graph; then the series length matches the census.  By the two
+    facts below no quotient is built: a step touches the vertices joining
+    H and their in-bundles, scans the out-bundles of each vertex left one
+    bundle out of H, and certifies its pair in O(n + m).
+
+    - Path counts carry over: a survivor keeps its ancestors and the
+      bundles into it, so a factor's size is g's path count of the sink
+      t ending w's line.
+    - A step's saturation has one source: w's tree is its line, so it
+      saturates as {t} does.  An edge into a breaking vertex has a twin
+      into the gap sink, so no line passes one and no saturation reaches
+      a gap sink: S stays empty and the next H saturates H + {t} in g.
     """
+    from heapq import heappop, heappush
+
     if has_cycle(g):
         raise UnsupportedGraphError("graph has a cycle")
-    pair = admissible_pair(g, (), ())
-    pairs = [pair]
-    factors = []
-    while set(pair.h) != set(g.vertices):
-        quotient, origin = quotient_with_map(g, pair)
-        candidates = [
-            w for w in line_points(quotient) if origin[w][0] == "real"
-        ]
-        if not candidates:
-            raise InternalInvariantError("quotient graph has no surviving line point")
-        w = candidates[-1] if reverse else candidates[0]
-        closed = saturate(quotient, tree_of(quotient, w))
-        new_pair = _lift_pair(g, pair, origin, closed)
-        if set(new_pair.h) == set(pair.h) and set(new_pair.s) == set(pair.s):
-            raise InternalInvariantError("composition step did not grow the ideal")
-        factors.append(CompositionFactor(lambda_size(quotient, w), origin[w][1]))
-        pair = new_pair
-        pairs.append(pair)
-    if pair.s:
-        raise InternalInvariantError("terminal pair retains breaking vertices")
+    out, pred, position = g._index.out, g._index.pred, g._index.position
+    singular = set(singular_vertices(g))
+    exits = {v: len(bs) for v, bs in out.items()}  # out-bundles with range outside H
+    h, line_next, heap, stack = set(), {}, [], list(g.vertices)
+    sign, pairs, factors = -1 if reverse else 1, [admissible_pair(g, (), ())], []
+    while len(h) < len(g.vertices):
+        while stack:  # new line points (they only accrue), and breaking ones now ending a line
+            u = stack.pop()
+            if u in h or exits[u] > 1 or u in line_next and (exits[u] or not line_next[u]):
+                continue
+            if exits[u]:  # via a line point r, unless r is breaking: emits, and is singular
+                ((mult, r),) = ((b.multiplicity, b.range) for b in out[u] if b.range not in h)
+                if mult != 1 or r not in line_next or exits[r] and r in singular:
+                    continue
+            line_next[u] = r if exits[u] else None
+            heappush(heap, sign * position[u])
+            stack.extend(pred[u])
+        while g.vertices[sign * heap[0]] in h:
+            heappop(heap)
+        w = t = g.vertices[sign * heap[0]]
+        while exits[t]:
+            t = line_next[t]
+        factors.append(CompositionFactor(g._path_counts[t], w))
+        joined = [t]
+        for x in joined:
+            h.add(x)
+            for u in pred[x]:
+                exits[u] -= 1
+                stack.append(u)
+                if not exits[u] and u not in singular:
+                    joined.append(u)
+        pairs.append(admissible_pair(g, h, ()))
     return CompositionSeries(tuple(pairs), tuple(factors))
 
 

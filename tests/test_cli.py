@@ -427,6 +427,68 @@ def test_ideals_refuses_more_than_20_vertices(tmp_path, capsys):
     )
 
 
+def test_compseries_on_a_long_comb_in_output_sized_time(tmp_path, capsys):
+    # a quotient graph built per step took 17.7 s on comb(1000), text and
+    # --json alike, on a 2-core VM
+    k = 1000
+    path = tmp_path / "comb.json"
+    path.write_text(render_document(comb(k)))
+    # step i takes s(k-1-i), whose line ends at t(k-1-i) below k + 1 - i
+    # paths, and H gains both vertices
+    heads = [(f"s{k - 1 - i}", k + 1 - i) for i in range(k)]
+    tails = [[f"{x}{j}" for x in "st" for j in range(k - i, k)] for i in range(k + 1)]
+
+    start = time.perf_counter()
+    assert main(["compseries", str(path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"length: {k}"
+    assert lines[1 : k + 2] == [
+        f"pair {i}: H={{{', '.join(h)}}} S={{}}" for i, h in enumerate(tails)
+    ]
+    assert lines[k + 2 :] == [f"factor {i}: size {n} at {v}" for i, (v, n) in enumerate(heads, 1)]
+
+    start = time.perf_counter()
+    assert main(["compseries", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["length"] == k
+    assert doc["pairs"] == [{"h": h, "s": []} for h in tails]
+    assert doc["factors"] == [{"size": n, "line_point": v} for v, n in heads]
+
+
+def fork(k):
+    """A root r over two lines a0 -> ... -> a(k-1) and b0 -> ... -> b(k-1)."""
+    lines = [[f"{x}{i}" for i in range(k)] for x in "ab"]
+    bundles = [Bundle(f"r{x}", "r", line[0]) for x, line in zip("ab", lines)]
+    for x, line in zip("ab", lines):
+        bundles += [Bundle(f"{x}e{i}", line[i], line[i + 1]) for i in range(k - 1)]
+    return Graph(("r",) + tuple(lines[0] + lines[1]), tuple(bundles))
+
+
+def test_naimark_on_a_long_fork_in_linear_time(tmp_path, capsys):
+    # saturating the tree of each of the 2k line points in turn took 21.5 s
+    # on fork(2000) on a 2-core VM
+    k = 2000
+    path = tmp_path / "fork.json"
+    path.write_text(render_document(fork(k)))
+
+    start = time.perf_counter()
+    assert main(["naimark", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "holds: no\nclasses: 2\n"
+
+    start = time.perf_counter()
+    assert main(["naimark", str(path), "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["holds"], doc["witness"], doc["class_count"]) == (False, None, 2)
+
+    assert main(["classes", str(path), "--json"]) == 0
+    sizes = [c["size"] for c in json.loads(capsys.readouterr().out)["classes"]]
+    assert sizes == [k + 1, k + 1]
+
+
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):
     expected = {}
     for name in FIXTURES:

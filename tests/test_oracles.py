@@ -53,6 +53,15 @@ each for being hereditary and saturated.  It is kept here and compared,
 as the exact ordered tuple, with the flashlight search on hypothesis
 graphs of up to 10 vertices, and the search with closed forms on combs
 and lines up to the 20-vertex guard.
+
+The composition series built a quotient graph at every step, took its
+first or last surviving line point, saturated the point's tree and
+counted |Lambda| there, and lifted the result back to an admissible pair
+of the graph.  Condition 5 saturated the tree of each line point in
+turn.  Both are kept here: the series is compared with the one that
+keeps the quotient implicit, pair for pair and factor for factor in both
+directions, on every acyclic sweep graph and on hypothesis graphs, and
+the loop with the single-sink rule.
 """
 
 import time
@@ -82,6 +91,7 @@ from leavitt.boundary import (  # noqa: E402
     shift,
     st_equivalent,
 )
+from leavitt import ideals  # noqa: E402
 from leavitt.errors import InternalInvariantError, NotFinitelyPresentableError  # noqa: E402
 from leavitt.graph import (  # noqa: E402
     OMEGA,
@@ -123,10 +133,17 @@ from leavitt.graph import (  # noqa: E402
 from leavitt.ideals import (  # noqa: E402
     AdmissiblePair,
     _fresh,
+    admissible_pair,
     enumerate_admissible_pairs,
     ideal_graph,
+    quotient_with_map,
 )
-from leavitt.naimark import check_condition5  # noqa: E402
+from leavitt.naimark import (  # noqa: E402
+    CompositionFactor,
+    CompositionSeries,
+    check_condition5,
+    composition_series,
+)
 from leavitt.repn import (  # noqa: E402
     MatrixUnitSystem,
     _verify_units,
@@ -142,7 +159,7 @@ from leavitt.repn import (  # noqa: E402
     verify_relations,
 )
 
-from sweeputil import base_graphs  # noqa: E402
+from sweeputil import base_graphs, sweep_graphs  # noqa: E402
 
 SETTINGS = settings(max_examples=400, deadline=None, database=None)
 
@@ -1362,3 +1379,119 @@ def test_admissible_pairs_closed_forms():
         assert [p.h for p in enumerate_admissible_pairs(looped_line(n))] == [
             vs[i:] for i in range(n, -1, -1)
         ]
+
+
+def test_certification_rejects_an_unsaturated_listing(monkeypatch):
+    # with closure by saturation switched off, the search lists {v1} of
+    # v0 -> v1, which the pass over the bundles refuses
+    monkeypatch.setattr(ideals, "_closed", lambda ranges, m: m)
+    g = Graph(("v0", "v1"), (Bundle("e", "v0", "v1"),))
+    with pytest.raises(InternalInvariantError, match="not saturated hereditary"):
+        enumerate_admissible_pairs(g)
+
+
+# -- composition series and condition 5: a quotient graph per step ---------------
+
+
+def lift_pair(g, pair, origin, closed):
+    """Pull a saturated hereditary set of the quotient back to a pair of g.
+
+    A surviving vertex with a gap twin splits its projection into the gap
+    part (carried by the twin) and the escaping part (implied once the
+    escaping ranges die), so it joins H only together with its twin.
+    Plain survivors join H outright; absorbed gap sinks put their
+    breaking vertex into S.  A vertex slated for S whose escaping edges
+    all end up inside the enlarged H carries a projection that now lies
+    in the ideal, so it migrates into H, and saturation is re-run until
+    stable.
+    """
+    gap_of = {v: q for q, (kind, v) in origin.items() if kind == "gap"}
+    closed_set = set(closed)
+    h = set(pair.h)
+    pending = set(pair.s)
+    for q in closed:
+        kind, v = origin[q]
+        if kind == "gap":
+            pending.add(v)
+        elif v not in gap_of or gap_of[v] in closed_set:
+            h.add(v)
+    while True:
+        h = set(saturate(g, h))
+        moved = False
+        for v in sorted(pending - h):
+            if all(b.range in h for b in g.out_bundles(v)):
+                h.add(v)
+                moved = True
+        if not moved:
+            break
+    return admissible_pair(g, h, pending - h)
+
+
+def quotient_per_step_series(g, reverse=False):
+    """The series with a quotient graph, its line points, a saturation and
+    a |Lambda| count built at every step."""
+    pair = admissible_pair(g, (), ())
+    pairs = [pair]
+    factors = []
+    while set(pair.h) != set(g.vertices):
+        quotient, origin = quotient_with_map(g, pair)
+        candidates = [w for w in line_points(quotient) if origin[w][0] == "real"]
+        if not candidates:
+            raise InternalInvariantError("quotient graph has no surviving line point")
+        w = candidates[-1] if reverse else candidates[0]
+        closed = saturate(quotient, tree_of(quotient, w))
+        new_pair = lift_pair(g, pair, origin, closed)
+        if set(new_pair.h) == set(pair.h) and set(new_pair.s) == set(pair.s):
+            raise InternalInvariantError("composition step did not grow the ideal")
+        factors.append(CompositionFactor(lambda_size(quotient, w), origin[w][1]))
+        pair = new_pair
+        pairs.append(pair)
+    if pair.s:
+        raise InternalInvariantError("terminal pair retains breaking vertices")
+    return CompositionSeries(tuple(pairs), tuple(factors))
+
+
+def per_line_point_condition5(g):
+    full = set(g.vertices)
+    for v in line_points(g):
+        if set(saturate(g, tree_of(g, v))) == full:
+            return v
+    return None
+
+
+@st.composite
+def acyclic_omega_graphs(draw):
+    """Bundles run from lower to higher index; multiplicities 1, 2 and omega."""
+    n = draw(st.integers(2, 8))
+    vs = tuple(f"v{i}" for i in range(n))
+    bundles = []
+    for i in range(draw(st.integers(1, 12))):
+        s = draw(st.integers(0, n - 2))
+        r = draw(st.integers(s + 1, n - 1))
+        bundles.append(Bundle(f"e{i}", vs[s], vs[r], draw(st.sampled_from((1, 2, OMEGA)))))
+    return Graph(vs, tuple(bundles))
+
+
+def test_series_matches_quotient_per_step_on_the_acyclic_sweep():
+    # omega promotions included, so breaking vertices and gap sinks occur
+    checked = 0
+    for g in sweep_graphs():
+        if has_cycle(g):
+            continue
+        checked += 1
+        for reverse in (False, True):
+            assert composition_series(g, reverse) == quotient_per_step_series(g, reverse)
+    assert checked == 18736
+
+
+@SETTINGS
+@given(st.one_of(acyclic_graphs(), acyclic_omega_graphs()))
+def test_series_matches_quotient_per_step_on_hypothesis_graphs(g):
+    for reverse in (False, True):
+        assert composition_series(g, reverse) == quotient_per_step_series(g, reverse)
+
+
+@SETTINGS
+@given(st.one_of(graphs(), acyclic_graphs(), acyclic_omega_graphs()))
+def test_condition5_matches_per_line_point_loop(g):
+    assert check_condition5(g) == per_line_point_condition5(g)
