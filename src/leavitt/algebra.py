@@ -222,7 +222,7 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     """
     _require_acyclic_finite(g, "normal form")
     # children first over the descendants of the ranges: each after the ranges of its bundles
-    order = _postorder(g._index.succ, (g.path_range(m.alpha) for m, _ in x.terms))
+    order = _postorder(g._succ, (g.path_range(m.alpha) for m, _ in x.terms))
     tails = _tails(g, {t: [()] for t in singular_vertices(g)}, order)
     acc: dict[Monomial, Fraction] = {}
     for m, c in x.terms:

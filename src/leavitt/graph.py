@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, product
 
 from .errors import (
@@ -143,32 +142,17 @@ class VertexClass(enum.Enum):
     INFINITE_EMITTER = "infinite-emitter"
 
 
-class _Index:
-    """Name lookups and adjacency of one graph, in declared order."""
-
-    __slots__ = ("position", "by_name", "out", "into", "succ", "pred")
-
-    def __init__(self, g: "Graph"):
-        self.position = {v: i for i, v in enumerate(g.vertices)}
-        self.by_name = {b.name: b for b in g.bundles}
-        out = {v: [] for v in g.vertices}
-        into = {v: [] for v in g.vertices}
-        for b in g.bundles:
-            out[b.source].append(b)
-            into[b.range].append(b)
-        self.out = {v: tuple(bs) for v, bs in out.items()}
-        self.into = {v: tuple(bs) for v, bs in into.items()}
-        self.succ = {v: tuple(b.range for b in bs) for v, bs in self.out.items()}
-        self.pred = {v: tuple(b.source for b in bs) for v, bs in self.into.items()}
-
-
 @dataclass(frozen=True)
 class Graph:
     """An immutable finitely presented directed multigraph.
 
-    The name index, the adjacency, the vertex classes and the strongly
-    connected components are derived once, on first use, and kept on the
-    instance; equality and hashing depend only on ``vertices`` and
+    Construction validates the presentation and, in the same pass, builds
+    every table the queries read: vertex and bundle positions, adjacency
+    in declared order, vertex classes, the walk order along successors
+    (each vertex after its successors, except on a cycle), strongly
+    connected components, the vertices on cycles, the doubled components
+    and the path counts.  The tables sit in the instance ``__dict__``;
+    equality, hashing and ``repr`` depend only on ``vertices`` and
     ``bundles``.
     """
 
@@ -176,142 +160,109 @@ class Graph:
     bundles: tuple[Bundle, ...] = ()
 
     def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
+        position = {}
+        for i, v in enumerate(self.vertices):
             if not isinstance(v, str) or not _NAME_RE.match(v):
                 raise GraphError(f"invalid vertex name {v!r}")
-            if v in seen:
+            if v in position:
                 raise GraphError(f"duplicate vertex name {v!r}")
-            seen.add(v)
-        bseen = set()
-        vset = seen
-        for b in self.bundles:
-            if not isinstance(b.name, str) or not _NAME_RE.match(b.name):
-                raise GraphError(f"invalid bundle name {b.name!r}")
-            if b.name in bseen:
-                raise GraphError(f"duplicate bundle name {b.name!r}")
-            bseen.add(b.name)
-            if b.source not in vset:
-                raise GraphError(f"bundle {b.name!r}: unknown source {b.source!r}")
-            if b.range not in vset:
-                raise GraphError(f"bundle {b.name!r}: unknown range {b.range!r}")
-            if not is_omega(b.multiplicity) and (
-                not isinstance(b.multiplicity, int) or b.multiplicity < 1
-            ):
-                raise GraphError(
-                    f"bundle {b.name!r}: multiplicity must be a positive integer or omega"
-                )
-
-    # -- derived once per graph --------------------------------------------
-
-    @cached_property
-    def _index(self) -> _Index:
-        return _Index(self)
-
-    @cached_property
-    def _sccs(self) -> tuple[tuple[str, ...], ...]:
-        """SCC partition by Kosaraju-Sharir, ordered as ``strongly_connected_components`` says.
-
-        Taken in reverse walk order along successors, a vertex not yet
-        placed lies in a component that no unplaced vertex outside it
-        reaches, so the unplaced vertices reaching it along predecessors
-        are exactly its component.
-        """
-        placed = set()
-        comps = [
-            _postorder(self._index.pred, (v,), placed)
-            for v in reversed(_postorder(self._index.succ, self.vertices))
-        ]
-        position = self._index.position
-        ordered = [tuple(sorted(c, key=position.get)) for c in comps if c]
-        ordered.sort(key=lambda c: position[c[0]])
-        return tuple(ordered)
-
-    @cached_property
-    def _comp_of(self) -> dict[str, int]:
-        return {v: i for i, comp in enumerate(self._sccs) for v in comp}
-
-    @cached_property
-    def _classes(self) -> dict[str, VertexClass]:
-        """``classify_vertex`` of every vertex, in declared order, in one pass."""
+            position[v] = i
+        bundle_at = {}
+        out = {v: [] for v in self.vertices}
+        into = {v: [] for v in self.vertices}
         classes = dict.fromkeys(self.vertices, VertexClass.SINK)
-        for b in self.bundles:
-            if is_omega(b.multiplicity):
+        for i, b in enumerate(self.bundles):
+            name, m = b.name, b.multiplicity
+            if not isinstance(name, str) or not _NAME_RE.match(name):
+                raise GraphError(f"invalid bundle name {name!r}")
+            if name in bundle_at:
+                raise GraphError(f"duplicate bundle name {name!r}")
+            bundle_at[name] = i
+            if b.source not in position:
+                raise GraphError(f"bundle {name!r}: unknown source {b.source!r}")
+            if b.range not in position:
+                raise GraphError(f"bundle {name!r}: unknown range {b.range!r}")
+            if m is OMEGA:
                 classes[b.source] = VertexClass.INFINITE_EMITTER
+            elif not isinstance(m, int) or isinstance(m, bool) or m < 1:
+                raise GraphError(
+                    f"bundle {name!r}: multiplicity must be a positive integer or omega"
+                )
             elif classes[b.source] is VertexClass.SINK:
                 classes[b.source] = VertexClass.REGULAR
-        return classes
-
-    @cached_property
-    def _doubled(self) -> frozenset:
-        """Indices of the strongly connected components carrying two distinct simple cycles.
-
-        A strongly connected component of n vertices has at least n internal
-        edges (counted with multiplicity) when it is nontrivial.  With exactly
-        n, every vertex emits one edge inside it, so it is a lone cycle; with
-        more, some vertex emits two, and each closes a different cycle.  An
-        omega bundle counts as two edges.
-        """
-        comp = self._comp_of
-        internal = [0] * len(self._sccs)
+            out[b.source].append(b)
+            into[b.range].append(b)
+        out = {v: tuple(bs) for v, bs in out.items()}
+        into = {v: tuple(bs) for v, bs in into.items()}
+        succ = {v: tuple(b.range for b in bs) for v, bs in out.items()}
+        pred = {v: tuple(b.source for b in bs) for v, bs in into.items()}
+        order, sccs, comp_of = _components(self.vertices, succ, pred)
+        # A strongly connected component of n vertices has at least n internal
+        # edges (counted with multiplicity) when it is nontrivial, and a trivial
+        # one has an internal edge iff its vertex has a loop: so the vertices
+        # on cycles are those of components with an internal edge.  With
+        # exactly n, every vertex emits one edge inside it, so it is a lone
+        # cycle; with more, some vertex emits two, and each closes a different
+        # cycle.  An omega bundle counts as two edges.
+        internal = [0] * len(sccs)
         for b in self.bundles:
-            c = comp[b.source]
-            if comp[b.range] == c:
-                internal[c] += 2 if is_omega(b.multiplicity) else b.multiplicity
-        return frozenset(c for c, vs in enumerate(self._sccs) if internal[c] > len(vs))
-
-    @cached_property
-    def _cyclic(self) -> frozenset:
-        out = self._index.out
-        return frozenset(
-            v
-            for comp in self._sccs
-            for v in comp
-            if len(comp) > 1 or any(b.range == v for b in out[v])
-        )
-
-    @cached_property
-    def _path_counts(self) -> dict[str, int | None]:
-        """``count_paths_into`` of every vertex, in one pass.
-
-        The order lists a vertex off every cycle after the sources of its
-        incoming bundles.
-        """
+            c = comp_of[b.source]
+            if comp_of[b.range] == c:
+                internal[c] += 2 if b.multiplicity is OMEGA else b.multiplicity
+        cyclic = frozenset(v for c, vs in enumerate(sccs) if internal[c] for v in vs)
+        # A depth-first walk finishes the range of an edge between two
+        # components before its source, which the range cannot reach; so,
+        # reversed, the walk order lists a vertex off every cycle after the
+        # sources of its incoming bundles.
         count = {}
-        for v in _postorder(self._index.pred, self.vertices):
-            heads = None if v in self._cyclic else _count_through(count, self._index.into[v])
+        for v in reversed(order):
+            heads = None if v in cyclic else _count_through(count, into[v])
             count[v] = None if heads is None else 1 + heads
-        return count
+        self.__dict__.update(
+            _order=order,
+            _position=position,
+            _bundle_at=bundle_at,
+            _out=out,
+            _into=into,
+            _succ=succ,
+            _pred=pred,
+            _classes=classes,
+            _sccs=sccs,
+            _comp_of=comp_of,
+            _cyclic=cyclic,
+            _doubled=frozenset(c for c, vs in enumerate(sccs) if internal[c] > len(vs)),
+            _path_counts=count,
+        )
 
     # -- lookups ---------------------------------------------------------
 
     def vertex_index(self, v: str) -> int:
         try:
-            return self._index.position[v]
+            return self._position[v]
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown vertex {v!r}") from None
 
     def has_vertex(self, v: str) -> bool:
         try:
-            return v in self._index.position
+            return v in self._position
         except TypeError:
             return False
 
     def bundle(self, name: str) -> Bundle:
         try:
-            return self._index.by_name[name]
+            return self.bundles[self._bundle_at[name]]
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown bundle {name!r}") from None
 
     def out_bundles(self, v: str) -> tuple[Bundle, ...]:
         try:
-            return self._index.out[v]
+            return self._out[v]
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown vertex {v!r}") from None
 
     def in_bundles(self, v: str) -> tuple[Bundle, ...]:
         try:
-            return self._index.into[v]
+            return self._into[v]
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown vertex {v!r}") from None
 
@@ -457,10 +408,38 @@ def _postorder(adj: dict, roots, seen=None) -> list[str]:
     return order[:-1]
 
 
+def _components(vertices, succ: dict, pred: dict):
+    """The walk order along ``succ``, the SCC partition and each vertex's component index.
+
+    Kosaraju-Sharir: taken in reverse walk order along successors, a
+    vertex not yet placed lies in a component that no unplaced vertex
+    outside it reaches, so the unplaced vertices reaching it along
+    predecessors are exactly its component.  One walk along predecessors
+    from those roots in that order lists each component as one run ending
+    at its root.  Each component is ordered and the components by first
+    vertex, as ``strongly_connected_components`` says.
+    """
+    order = _postorder(succ, vertices)
+    roots = order[::-1]
+    walk = iter(_postorder(pred, roots))
+    root = {}
+    for r in roots:
+        if r not in root:
+            for w in walk:
+                root[w] = r
+                if w == r:
+                    break
+    members = {}  # component of the first vertex first
+    for v in vertices:
+        members.setdefault(root[v], []).append(v)
+    sccs = tuple(map(tuple, members.values()))
+    return order, sccs, {v: i for i, comp in enumerate(sccs) for v in comp}
+
+
 def tree_of(g: Graph, v: str) -> tuple[str, ...]:
     """All vertices reachable from ``v`` (including ``v``), in declared order."""
     g.vertex_index(v)
-    return _ordered(g, _postorder(g._index.succ, (v,)))
+    return _ordered(g, _postorder(g._succ, (v,)))
 
 
 def _ordered(g: Graph, vs) -> tuple[str, ...]:
@@ -470,7 +449,7 @@ def _ordered(g: Graph, vs) -> tuple[str, ...]:
 
 def _check_subset(g: Graph, hs) -> set:
     h = set(hs)
-    for v in h.difference(g._index.position):
+    for v in h.difference(g._position):
         g.vertex_index(v)  # raises UnknownNameError
     return h
 
@@ -478,14 +457,14 @@ def _check_subset(g: Graph, hs) -> set:
 def is_hereditary(g: Graph, h) -> bool:
     """True iff every edge with source in ``h`` has range in ``h``."""
     hset = _check_subset(g, h)
-    out = g._index.out
+    out = g._out
     return all(b.range in hset for v in hset for b in out[v])
 
 
 def is_saturated(g: Graph, h) -> bool:
     """True iff every regular vertex whose outgoing ranges all lie in ``h`` is in ``h``."""
     hset = _check_subset(g, h)
-    succ, regular = g._index.succ, VertexClass.REGULAR
+    succ, regular = g._succ, VertexClass.REGULAR
     return not any(
         c is regular and v not in hset and hset.issuperset(succ[v]) for v, c in g._classes.items()
     )
@@ -502,7 +481,7 @@ def _saturation_rounds(g: Graph, h):
     hset = _check_subset(g, h)
     if not is_hereditary(g, hset):
         raise ContractError("saturation requires a hereditary set")
-    out = g._index.out
+    out = g._out
     leaving = {
         v: sum(b.range not in hset for b in out[v])
         for v, c in g._classes.items()
@@ -514,7 +493,7 @@ def _saturation_rounds(g: Graph, h):
         yield adjoined
         joining = []
         for w in adjoined:
-            for b in g._index.into[w]:
+            for b in g._into[w]:
                 if b.source in leaving:
                     leaving[b.source] -= 1
                     if leaving[b.source] == 0:
@@ -552,7 +531,7 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
 
 def _breaking_vertices(g: Graph, hset: set) -> tuple[str, ...]:
     """``breaking_vertices`` of a set the caller has already validated."""
-    out = g._index.out
+    out = g._out
     emitter = VertexClass.INFINITE_EMITTER
     escaping = {
         v: [b.multiplicity for b in out[v] if b.range not in hset]
@@ -595,7 +574,7 @@ def downward_directed(g: Graph) -> bool:
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """SCC partition, each component ordered, components by first vertex.
 
-    Computed once per graph.
+    Computed when the graph is built.
     """
     return g._sccs
 
@@ -620,8 +599,8 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
     anchored at its first vertex, so only that vertex starts a walk there:
     a graph of lone cycles costs O(n + m).  Exponential in general.
     """
-    index = g._index.position
-    out = g._index.out
+    index = g._position
+    out = g._out
     comp = g._comp_of
     circuits = []
     for s in g.vertices:
@@ -690,10 +669,10 @@ def line_points(g: Graph) -> tuple[str, ...]:
     decides every vertex in linear time.
     """
     cyclic = g._cyclic
-    out = g._index.out
+    out = g._out
     verdict = {}
     # a vertex off every cycle is listed after its successor
-    for v in _postorder(g._index.succ, g.vertices):
+    for v in g._order:
         bs = out[v]
         verdict[v] = not bs or (
             v not in cyclic and len(bs) == 1 and bs[0].multiplicity == 1 and verdict[bs[0].range]
@@ -736,7 +715,7 @@ def _paths_ending(g: Graph, ends: dict) -> list[Path]:
     ancestries of the keys must be acyclic with finite multiplicities.
     Built by prepending, so the paths share their suffixes' edge refs.
     """
-    ancestors = _postorder(g._index.pred, ends)
+    ancestors = _postorder(g._pred, ends)
     # reversed, the order lists every ancestor after the ranges of its bundles
     tails = _tails(g, ends, reversed(ancestors))
     return [Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]]
@@ -753,7 +732,7 @@ def _tails(g: Graph, ends: dict, order) -> dict[str, list[tuple[EdgeRef, ...]]]:
     tails = {}
     for u in order:
         acc = list(ends.get(u, ()))
-        for b in g._index.out[u]:
+        for b in g._out[u]:
             for tail in tails.get(b.range, ()):
                 acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
         tails[u] = acc
@@ -788,7 +767,8 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
 def _entering(g: Graph, t) -> list[Bundle]:
     """The bundles with range in ``t`` and source outside it, in declared order."""
     tset = _check_subset(g, t)
-    return [b for b in g.bundles if b.range in tset and b.source not in tset]
+    at = sorted(g._bundle_at[b.name] for v in tset for b in g._into[v] if b.source not in tset)
+    return [g.bundles[i] for i in at]
 
 
 def count_entry_paths(g: Graph, t) -> int | None:
@@ -814,7 +794,7 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
         elif g._path_counts[b.source] is None:
-            cyclic = sorted(g._cyclic.intersection(_postorder(g._index.pred, (b.source,))))
+            cyclic = sorted(g._cyclic.intersection(_postorder(g._pred, (b.source,))))
             if cyclic:
                 reason = f"a cycle through {cyclic[0]!r} reaches {what}"
             else:

@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     VertexClass,
     _breaking_vertices,
-    _postorder,
     entry_paths,
     is_hereditary,
     is_saturated,
@@ -138,7 +137,7 @@ def _closed(ranges, m: int) -> int:
     """The saturation of the hereditary vertex mask ``m``, in one pass.
 
     ``ranges`` pairs the bit of each regular vertex with the mask of its
-    ranges, in ``_postorder`` order along successors.  The set stays
+    ranges, in the graph's walk order along successors.  The set stays
     hereditary, so a vertex on a cycle is never adjoined: its successor
     on the cycle reaches it.  A vertex off every cycle comes after all
     its successors, so when the pass reaches it every successor that
@@ -169,9 +168,9 @@ def _saturated_hereditary_masks(g: Graph) -> list[int]:
     n times as many tests as there are sets.  Iterative, with an
     explicit stack.
     """
-    succ = g._index.succ
-    position = g._index.position
-    order = _postorder(succ, g.vertices)
+    succ = g._succ
+    position = g._position
+    order = g._order
     bit = {v: 1 << position[v] for v in order}
     tree = dict.fromkeys(order, 0)
     grew = True

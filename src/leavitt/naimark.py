@@ -144,7 +144,7 @@ def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
 
     if has_cycle(g):
         raise UnsupportedGraphError("graph has a cycle")
-    out, pred, position = g._index.out, g._index.pred, g._index.position
+    out, pred, position = g._out, g._pred, g._position
     singular = set(singular_vertices(g))
     exits = {v: len(bs) for v, bs in out.items()}  # out-bundles with range outside H
     h, line_next, heap, stack = set(), {}, [], list(g.vertices)

@@ -1,5 +1,6 @@
 """Graph model: classification, cycles, reachability, saturation."""
 
+import pickle
 import time
 from itertools import combinations
 
@@ -51,6 +52,9 @@ OMEGA1 = FIXTURES["OMEGA"]
 OMEGA2 = FIXTURES["OMEGA2"]
 
 
+MULTIPLICITY_ERROR = "bundle 'e': multiplicity must be a positive integer or omega"
+
+
 def subsets(vs):
     for k in range(len(vs) + 1):
         yield from combinations(vs, k)
@@ -72,6 +76,58 @@ def test_graph_rejects_bad_presentations():
         Graph(("v",), (Bundle("e", "v", "v"), Bundle("e", "v", "v")))
     with pytest.raises(GraphError):
         Graph(("bad name",))
+
+
+@pytest.mark.parametrize(
+    "vertices, bundles, message",
+    [
+        (("v", 3), (), "invalid vertex name 3"),
+        (("v", "bad name"), (), "invalid vertex name 'bad name'"),
+        (("v", "v"), (), "duplicate vertex name 'v'"),
+        (("v",), (Bundle("bad-name", "v", "v"),), "invalid bundle name 'bad-name'"),
+        (("v",), (Bundle(None, "v", "v"),), "invalid bundle name None"),
+        (("v",), (Bundle("e", "v", "v"), Bundle("e", "v", "v")), "duplicate bundle name 'e'"),
+        (("v",), (Bundle("e", "x", "v"),), "bundle 'e': unknown source 'x'"),
+        (("v",), (Bundle("e", "v", "x"),), "bundle 'e': unknown range 'x'"),
+        (("v",), (Bundle("e", "v", "v", 0),), MULTIPLICITY_ERROR),
+        (("v",), (Bundle("e", "v", "v", 1.0),), MULTIPLICITY_ERROR),
+        (("v",), (Bundle("e", "v", "v", "omega"),), MULTIPLICITY_ERROR),
+        (("u", "v"), (Bundle("e", "u", "v", True),), MULTIPLICITY_ERROR),
+        (("u", "v"), (Bundle("e", "u", "v", False),), MULTIPLICITY_ERROR),
+        # vertex errors come before bundle errors
+        (("v", "v"), (Bundle("e", "x", "y", 0),), "duplicate vertex name 'v'"),
+        # bundle errors in declared order
+        (("v",), (Bundle("e", "v", "x"), Bundle("f", "x", "v")), "bundle 'e': unknown range 'x'"),
+        (("v",), (Bundle("e", "v", "v"), Bundle("f", "x", "v", 0)), "bundle 'f': unknown source 'x'"),
+        # within a bundle: name, duplicate, source, range, then multiplicity
+        (("v",), (Bundle("bad name", "x", "y", 0),), "invalid bundle name 'bad name'"),
+        (("v",), (Bundle("e", "v", "v"), Bundle("e", "x", "y", 0)), "duplicate bundle name 'e'"),
+        (("v",), (Bundle("e", "x", "y", 0),), "bundle 'e': unknown source 'x'"),
+        (("v",), (Bundle("e", "v", "y", 0),), "bundle 'e': unknown range 'y'"),
+    ],
+)
+def test_construction_errors_name_the_first_fault(vertices, bundles, message):
+    with pytest.raises(GraphError) as err:
+        Graph(vertices, bundles)
+    assert str(err.value) == message
+
+
+def test_equal_presentations_give_equal_graphs():
+    def build():
+        return Graph(("u", "v"), (Bundle("e", "u", "v", 2), Bundle("h", "v", "v", OMEGA)))
+
+    g, h = build(), build()
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == (
+        "Graph(vertices=('u', 'v'), bundles=(Bundle(name='e', source='u', range='v', "
+        "multiplicity=2), Bundle(name='h', source='v', range='v', multiplicity=omega)))"
+    )
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
+    assert copy.bundle("h").multiplicity is OMEGA
+    assert classify_vertex(copy, "v") is VertexClass.INFINITE_EMITTER
+    assert strongly_connected_components(copy) == (("u",), ("v",))
+    assert count_paths_into(copy, "v") is None and vertices_on_cycles(copy) == ("v",)
 
 
 def test_path_is_vertex_or_edges():

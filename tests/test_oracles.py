@@ -54,6 +54,12 @@ as the exact ordered tuple, with the flashlight search on hypothesis
 graphs of up to 10 vertices, and the search with closed forms on combs
 and lines up to the 20-vertex guard.
 
+The vertices on cycles were the components of two or more vertices
+plus the vertices with a loop, read by scanning the out-bundles again,
+and the bundles entering a vertex set came from a scan of every bundle.
+Both are kept here and compared with the count of internal edges per
+component (and networkx) and with the ``into`` lists.
+
 The composition series built a quotient graph at every step, took its
 first or last surviving line point, saturated the point's tree and
 counted |Lambda| there, and lifted the result back to an admissible pair
@@ -100,6 +106,7 @@ from leavitt.graph import (  # noqa: E402
     Graph,
     Path,
     VertexClass,
+    _entering,
     _least_rotation,
     _postorder,
     breaking_vertices,
@@ -285,8 +292,8 @@ def all_rotations_least(cycle):
 
 def walk_count_paths_into(g, v):
     """Per call: the ancestors of v, refused if one is cyclic or fed by omega, then counted."""
-    into = g._index.into
-    order = _postorder(g._index.pred, (v,))
+    into = g._into
+    order = _postorder(g._pred, (v,))
     if not g._cyclic.isdisjoint(order):
         return None
     if any(is_omega(b.multiplicity) for u in order for b in into[u]):
@@ -300,7 +307,7 @@ def walk_count_paths_into(g, v):
 
 def walk_paths_into(g, v):
     """Per call: the paths into v by prepending along its ancestors, sorted."""
-    ancestors = _postorder(g._index.pred, (v,))
+    ancestors = _postorder(g._pred, (v,))
     anc = set(ancestors)
     to_v = {}
     for u in reversed(ancestors):
@@ -323,7 +330,7 @@ def per_source_entry_paths(g, t, what):
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
         elif walk_count_paths_into(g, b.source) is None:
-            cyclic = sorted(g._cyclic.intersection(_postorder(g._index.pred, (b.source,))))
+            cyclic = sorted(g._cyclic.intersection(_postorder(g._pred, (b.source,))))
             if cyclic:
                 reason = f"a cycle through {cyclic[0]!r} reaches {what}"
             else:
@@ -433,8 +440,8 @@ def test_sccs_match_networkx(g):
 
 def tarjan_sccs(g):
     """SCC partition by iterative Tarjan, each component ordered, components by first vertex."""
-    index = g._index.position
-    adj = g._index.succ
+    index = g._position
+    adj = g._succ
     low = {}
     disc = {}
     on_stack = set()
@@ -484,6 +491,26 @@ def tarjan_sccs(g):
 @given(graphs())
 def test_sccs_match_tarjan_in_order(g):
     assert strongly_connected_components(g) == tarjan_sccs(g)
+
+
+def scan_cyclic(g):
+    """Vertices of a component of two or more vertices, or with a loop on its out-bundles."""
+    return tuple(
+        v
+        for comp in strongly_connected_components(g)
+        for v in comp
+        if len(comp) > 1 or any(b.range == v for b in g.out_bundles(v))
+    )
+
+
+@SETTINGS
+@given(graphs())
+def test_cycle_vertices_match_component_scan_and_networkx(g):
+    ours = vertices_on_cycles(g)
+    assert set(ours) == set(scan_cyclic(g))
+    assert set(ours) == {v for cycle in nx.simple_cycles(to_networkx(g)) for v in cycle}
+    assert ours == tuple(v for v in g.vertices if v in ours)
+    assert has_cycle(g) == bool(ours)
 
 
 def pairwise_downward_directed(g):
@@ -982,7 +1009,7 @@ def per_range_normal_form(g, x):
 
     def paths_to_sinks(v):
         ending = {}  # vertex -> its paths to sinks
-        for u in _postorder(g._index.succ, (v,)):
+        for u in _postorder(g._succ, (v,)):
             out = g.out_bundles(u)
             if not out:
                 ending[u] = [vertex_path(u)]
@@ -1176,6 +1203,14 @@ def test_entry_count_matches_listing(g):
             assert len(listed) == n
             assert list(listed) == sorted(listed, key=path_key)
             assert listed == per_source_entry_paths(g, t, "the set")
+
+
+@SETTINGS
+@given(graphs())
+def test_entering_bundles_match_bundle_scan(g):
+    for t in vertex_sets(g):
+        scan = [b for b in g.bundles if b.range in t and b.source not in t]
+        assert _entering(g, t) == scan
 
 
 @SETTINGS
