@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, GraphError, UnsupportedGraphError
+from .errors import ContractError, UnsupportedGraphError
 from .graph import (
     EdgeRef,
     Graph,
@@ -223,10 +223,10 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     _require_acyclic_finite(g, "normal form")
     # children first over the descendants of the ranges: each after the ranges of its bundles
     order = _postorder(g._succ, (g.path_range(m.alpha) for m, _ in x.terms))
-    tails = _tails(g, {t: [()] for t in singular_vertices(g)}, order)
+    tails = _tails(g, order, singular_vertices(g), {})[0]
     acc: dict[Monomial, Fraction] = {}
     for m, c in x.terms:
-        for e in tails[g.path_range(m.alpha)]:
+        for e in (e for edges, _ in tails[g.path_range(m.alpha)] for e in edges):
             mm = Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m
             acc[mm] = acc.get(mm, Fraction(0)) + c
     return element(acc)
@@ -274,72 +274,54 @@ def render_element(g: Graph, x: AlgebraElement) -> str:
 
 _COEF_RE = re.compile(r"(\d+)(?:/(\d+))?\*")
 _MONO_RE = re.compile(r"(?:p_([A-Za-z_][A-Za-z0-9_]*)|([A-Za-z0-9_#]+)\.([A-Za-z0-9_#]+)\*)\Z")
-
-
 _INDEX_RE = re.compile(r"#(\d+)")
 
 
-def _segmentations(g: Graph, text: str) -> list[tuple[EdgeRef, ...]]:
-    """All ways to read ``text`` as a concatenation of edge atoms.
-
-    A forward pass finds the atoms starting at each position reachable
-    from the start; a table filled from the right then holds every
-    reading of the rest of the text at each of those positions.  Readings
-    come longest bundle name first, and no recursion limits the length.
-    """
-    names = {b.name for b in g.bundles}
-    lengths = sorted({len(name) for name in names}, reverse=True)
-    end_of_text = len(text)
-    atoms: dict[int, list[tuple[EdgeRef, int]]] = {}
-    todo = [0]
-    while todo:
-        pos = todo.pop()
-        if pos in atoms or pos == end_of_text:
-            continue
-        found = []
-        for length in lengths:
-            end = pos + length
-            name = text[pos:end]
-            if len(name) != length or name not in names:
-                continue
-            index = 0
-            after = end
-            if text[end : end + 1] == "#":
-                m = _INDEX_RE.match(text, end)
-                if not m:
-                    continue
-                index = int(m.group(1))
-                after = m.end()
-            elif g.bundle(name).multiplicity != 1:
-                # multiplicity >= 2 always renders its index
-                continue
-            found.append((EdgeRef(name, index), after))
-            todo.append(after)
-        atoms[pos] = found
-    table: dict[int, list[tuple[EdgeRef, ...]]] = {end_of_text: [()]}
-    for pos in sorted(atoms, reverse=True):
-        table[pos] = [(ref,) + tail for ref, after in atoms[pos] for tail in table[after]]
-    return table[0]
-
-
 def parse_path(g: Graph, text: str) -> Path:
-    """Parse a pathpart: a vertex name, or concatenated edge atoms."""
+    """Parse a pathpart: a vertex name, or concatenated edge atoms.
+
+    A table filled from the right counts, for each position and vertex,
+    the readings of the rest of the text as a path from that vertex that
+    ``check_path`` accepts.  Only a sole reading is read out, so an
+    ambiguous text costs O(length x name lengths), not one check per reading.
+    """
     if g.has_vertex(text):
         return g.vertex_path(text)
-    options = _segmentations(g, text)
-    valid = []
-    for refs in options:
-        p = Path(edges=refs)
-        try:
-            g.check_path(p)
-        except GraphError:
-            continue
-        valid.append(p)
-    if not valid:
+    named = {b.name: b for b in g.bundles}
+    lengths = {len(name) for name in named}
+    end = len(text)
+    steps = {}  # position -> (edge, position after it, bundle) of each atom a reading uses
+    count = {}  # position -> {vertex: readings of the rest of the text from it}
+    for pos in reversed(range(end)):
+        steps[pos], count[pos] = [], {}
+        for length in lengths:
+            after = pos + length
+            b = named.get(text[pos:after]) if after <= end else None
+            if b is None:
+                continue
+            m = _INDEX_RE.match(text, after)
+            if m:
+                ref, after = EdgeRef(b.name, int(m.group(1))), m.end()
+            elif text[after : after + 1] == "#" or b.multiplicity != 1:
+                continue  # multiplicity >= 2 always renders its index
+            else:
+                ref = EdgeRef(b.name, 0)
+            n = 1 if after == end else count[after].get(b.range, 0)
+            if n and (is_omega(b.multiplicity) or ref.index < b.multiplicity):
+                steps[pos].append((ref, after, b))
+                count[pos][b.source] = count[pos].get(b.source, 0) + n
+    readings = sum(count.get(0, {}).values())
+    if not readings:
         raise ContractError(f"cannot parse path {text!r}")
-    if len(valid) > 1:
-        raise ContractError(f"ambiguous path {text!r}: {len(valid)} readings")
-    return valid[0]
+    if readings > 1:
+        raise ContractError(f"ambiguous path {text!r}: {readings} readings")
+    # one reading: at each position one atom continues it from the vertex reached
+    refs, pos, at = [], 0, None
+    while pos != end:
+        ref, pos, b = next(s for s in steps[pos] if at is None or s[2].source == at)
+        refs.append(ref)
+        at = b.range
+    return Path(edges=tuple(refs))
 
 
 def parse_element(g: Graph, text: str) -> AlgebraElement:

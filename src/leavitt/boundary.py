@@ -25,11 +25,10 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _paths_ending,
     count_entry_paths,
     count_paths_into,
     is_singular,
-    path_key,
-    paths_into,
     render_edge_ref,
     render_path,
     simple_cycles,
@@ -198,7 +197,4 @@ def render_boundary_path(g: Graph, b: BoundaryPath) -> str:
 
 def finite_boundary_paths(g: Graph) -> tuple[BoundaryPath, ...]:
     """All finite boundary paths, sorted; requires every singular class finite."""
-    out = []
-    for v in singular_vertices(g):
-        out.extend(BoundaryPath(p, None) for p in paths_into(g, v))
-    return tuple(sorted(out, key=lambda b: path_key(b.prefix)))
+    return tuple(BoundaryPath(p, None) for p in _paths_ending(g, singular_vertices(g), {})[0])

@@ -35,7 +35,6 @@ from .graph import (
     is_omega,
     line_points,
     render_edge_ref,
-    render_path,
     simple_cycles,
     singular_vertices,
     strongly_connected_components,
@@ -45,7 +44,6 @@ from .ideals import enumerate_admissible_pairs
 from .naimark import composition_series, naimark_decision, trichotomy
 from .repn import (
     build_rho,
-    decompose_blocks,
     lambda_index_set,
     verify_irreducible_block,
     verify_relations,
@@ -210,7 +208,7 @@ def cmd_naimark(g: Graph, args) -> int:
     if args.json:
         lam = None
         if report.holds:
-            lam = lambda_index_set(g, report.witness)[2]
+            lam = lambda_index_set(g, report.witness, texts=True)[3]
             if len(lam) != report.lam_size:
                 raise InternalInvariantError("the listed index set differs from its count")
         _emit(
@@ -218,7 +216,7 @@ def cmd_naimark(g: Graph, args) -> int:
                 "holds": report.holds,
                 "condition4": report.condition4,
                 "witness": report.witness,
-                "lambda": None if lam is None else [render_path(g, p) for p in lam],
+                "lambda": lam,
                 "lambda_size": report.lam_size,
                 "dimension": report.dimension,
                 "class_count": _size(report.census.count),
@@ -299,41 +297,30 @@ def cmd_compseries(g: Graph, args) -> int:
 def cmd_rep(g: Graph, args) -> int:
     R = build_rho(g)
     verify_relations(R)
-    blocks = decompose_blocks(R)
-    irreducible = [
-        verify_irreducible_block(R, i)[0] for i in range(len(blocks))
-    ]
+    blocks = [[R.texts[i] for i in block] for block in R.classes]
+    irreducible = [verify_irreducible_block(R, i)[0] for i in range(len(blocks))]
     if args.json:
         _emit(
             {
                 "dimension": R.dimension,
-                "basis": [render_path(g, p) for p in R.basis],
+                "basis": R.texts,
                 "relations_verified": True,
                 "blocks": [
-                    {
-                        "paths": [render_path(g, p) for p in paths],
-                        "size": size,
-                        "irreducible": irreducible[i],
-                    }
-                    for i, (paths, size) in enumerate(blocks)
+                    {"paths": paths, "size": len(paths), "irreducible": ok}
+                    for paths, ok in zip(blocks, irreducible)
                 ],
                 "generators": {
-                    label: [
-                        [int(x) for x in row] for row in R.matrix(label)
-                    ]
+                    label: [[int(x) for x in row] for row in R.matrix(label)]
                     for label in R.generator_labels()
                 },
             }
         )
         return 0
     print(f"dimension: {R.dimension}")
-    print("basis: " + ", ".join(render_path(g, p) for p in R.basis))
+    print("basis: " + ", ".join(R.texts))
     print("relations: verified")
-    for i, (paths, size) in enumerate(blocks):
-        print(
-            f"block {i}: size {size}, irreducible: {_yes(irreducible[i])}, "
-            "paths: " + ", ".join(render_path(g, p) for p in paths)
-        )
+    for i, (paths, ok) in enumerate(zip(blocks, irreducible)):
+        print(f"block {i}: size {len(paths)}, irreducible: {_yes(ok)}, paths: " + ", ".join(paths))
     print(f"algebra dimension: {dimension(g)}")
     return 0
 

@@ -708,35 +708,67 @@ def _count_through(count: dict, bundles) -> int | None:
     return sum(b.multiplicity * count[b.source] for b in bundles)
 
 
-def _paths_ending(g: Graph, ends: dict) -> list[Path]:
-    """Every path into a key x of ``ends`` followed by a tail in ``ends[x]``, unsorted.
+def _paths_ending(g: Graph, stops, exits: dict) -> tuple[list[Path], list[str]]:
+    """Every path into a vertex of ``stops`` or ending with an edge of ``exits``, with its text.
 
-    A tail is ``()`` for the path ending at x, or one edge leaving x.  The
-    ancestries of the keys must be acyclic with finite multiplicities.
-    Built by prepending, so the paths share their suffixes' edge refs.
+    ``exits`` maps a vertex to bundles leaving it, whose ancestry must be acyclic with
+    finite multiplicities; a stop with infinitely many paths raises.  The paths come in
+    ``path_key`` order, and the texts as ``render_path`` gives them.
     """
-    ancestors = _postorder(g._pred, ends)
+    for v in stops:
+        if count_paths_into(g, v) is None:
+            raise NotFinitelyPresentableError(
+                f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
+            )
+    ancestors = _postorder(g._pred, [*stops, *exits])
     # reversed, the order lists every ancestor after the ranges of its bundles
-    tails = _tails(g, ends, reversed(ancestors))
-    return [Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]]
+    _, firsts = _tails(g, reversed(ancestors), stops, exits)
+    texts = sorted(stops)
+    paths = [vertex_path(v) for v in texts]
+    for edges, strs in _extend(firsts):
+        paths += [Path(edges=e) for e in edges]
+        texts += strs
+    return paths, texts
 
 
-def _tails(g: Graph, ends: dict, order) -> dict[str, list[tuple[EdgeRef, ...]]]:
-    """Each vertex u of ``order`` -> the edge tuples of its paths, as ``_paths_ending`` says.
+def _tails(g: Graph, order, stops, exits: dict) -> tuple[dict[str, list], list]:
+    """Each vertex u of ``order`` -> its paths (``_paths_ending``) by length; and every step.
 
-    A path runs from u into a key x of ``ends`` and is followed by a tail
-    in ``ends[x]``.  ``order`` must list every vertex after those ranges
-    of its bundles that it lists at all; a range it leaves out has no
-    paths.
+    Entry n holds the edge tuples and texts of u's paths of length n, in ``path_key`` order;
+    a vertex path has the empty text.  A step is a bundle that starts paths, with the paths
+    after it (after an exit, the empty path).  ``order`` lists each vertex after the ranges
+    of its bundles that it lists at all; a range it leaves out has no paths.
     """
-    tails = {}
+    stops = set(stops)
+    tails, firsts = {}, []
     for u in order:
-        acc = list(ends.get(u, ()))
-        for b in g._out[u]:
-            for tail in tails.get(b.range, ()):
-                acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
-        tails[u] = acc
-    return tails
+        steps = [(b, tails[b.range]) for b in g._out[u] if b.range in tails]
+        if u in exits:
+            steps += [(b, [([()], [""])]) for b in exits[u]]
+        tails[u] = [([()], [""]) if u in stops else ([], [])] + _extend(steps)
+        firsts += steps
+    return tails, firsts
+
+
+def _extend(steps) -> list[tuple[list, list]]:
+    """The paths e p for each step (b, paths by length), e an edge of b: by length from 1.
+
+    Sorting only the first edges, by (name, index), keeps each length in ``path_key`` order.
+    """
+    if len(steps) > 1:
+        steps.sort(key=lambda step: step[0].name)
+    out = []
+    for b, after in steps:
+        while len(out) < len(after):
+            out.append(([], []))
+        m = b.multiplicity
+        for i in range(m):
+            head, text = (EdgeRef(b.name, i),), b.name if m == 1 else f"{b.name}#{i}"
+            for (tails, strs), (edges, texts) in zip(after, out):
+                if tails:
+                    edges += [head + e for e in tails]
+                    texts += [text + t for t in strs]
+    return out
 
 
 def count_paths_into(g: Graph, v: str) -> int | None:
@@ -754,11 +786,7 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
 
     Raises when the set is infinite (see ``count_paths_into``).
     """
-    if count_paths_into(g, v) is None:
-        raise NotFinitelyPresentableError(
-            f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
-        )
-    return tuple(sorted(_paths_ending(g, {v: [()]}), key=path_key))
+    return tuple(_paths_ending(g, (v,), {})[0])
 
 
 # -- paths entering a vertex set -------------------------------------------
@@ -788,7 +816,12 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
     When they are infinitely many, raises NotFinitelyPresentableError
     naming a witness; ``what`` names ``t`` in that message.
     """
-    ends = {}  # source of an entering bundle -> the entering edges
+    return tuple(_entry_listing(g, t, what)[0])
+
+
+def _entry_listing(g: Graph, t, what: str) -> tuple[list[Path], list[str]]:
+    """``entry_paths`` with the text of each path."""
+    exits = {}  # source of an entering bundle -> the entering bundles
     for b in _entering(g, t):
         reason = None
         if is_omega(b.multiplicity):
@@ -801,5 +834,5 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
                 reason = f"an omega bundle feeds the crossing edge {b.name!r}"
         if reason:
             raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
-        ends.setdefault(b.source, []).extend((EdgeRef(b.name, i),) for i in range(b.multiplicity))
-    return tuple(sorted(_paths_ending(g, ends), key=path_key))
+        exits.setdefault(b.source, []).append(b)
+    return _paths_ending(g, (), exits) if exits else ([], [])

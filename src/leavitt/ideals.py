@@ -19,10 +19,9 @@ from .graph import (
     Graph,
     VertexClass,
     _breaking_vertices,
-    entry_paths,
+    _entry_listing,
     is_hereditary,
     is_saturated,
-    render_path,
     saturate,
 )
 
@@ -121,11 +120,11 @@ def ideal_graph(g: Graph, h) -> Graph:
     if not is_hereditary(g, hset):
         raise ContractError("ideal graphs are built from hereditary sets")
     hbar = saturate(g, hset)
-    entries = entry_paths(g, hbar, "the saturation")
+    entries, texts = _entry_listing(g, hbar, "the saturation")
     taken = set(hbar)
     bundles = [b for b in g.bundles if b.source in taken]
     # bundle names never contain '#', so this keeps entry names valid
-    entry_names = [(_fresh(render_path(g, p).replace("#", "_"), taken), p) for p in entries]
+    entry_names = [(_fresh(s.replace("#", "_"), taken), p) for p, s in zip(entries, texts)]
     bundle_names = {b.name for b in bundles}
     for name, p in entry_names:
         ename = _fresh(name, bundle_names)

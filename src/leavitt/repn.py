@@ -29,12 +29,11 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _entry_listing,
     _paths_ending,
     concat,
     count_entry_paths,
-    entry_paths,
     line_through,
-    path_key,
     render_edge_ref,
     saturate,
     singular_vertices,
@@ -48,8 +47,9 @@ PartialMap = dict[int, int]
 class BoundaryRepresentation:
     """The boundary-path representation of an acyclic finite-multiplicity graph.
 
-    Immutable after construction.  ``basis`` lists the boundary paths;
-    ``classes`` partitions basis positions by shift-tail class (one block
+    Immutable after construction.  ``basis`` lists the boundary paths in
+    ``path_key`` order and ``texts`` their texts, as ``render_path`` gives
+    them; ``classes`` partitions basis positions by shift-tail class (one block
     per sink, in vertex order); ``block_labels`` lists, per block, the
     generators whose map is defined somewhere in it, in label order.
     """
@@ -58,8 +58,9 @@ class BoundaryRepresentation:
         _require_acyclic_finite(g, "the representation")
         self.graph = g
         sinks = singular_vertices(g)
-        basis = sorted(_paths_ending(g, {t: [()] for t in sinks}), key=path_key)
+        basis, texts = _paths_ending(g, sinks, {})
         self.basis = tuple(basis)
+        self.texts = tuple(texts)
         self.index = index = {p: i for i, p in enumerate(basis)}
         by_sink = {t: [] for t in sinks}
         by_source = {v: [] for v in g.vertices}
@@ -366,16 +367,18 @@ def monomial_of(sys: MatrixUnitSystem, i: int, j: int) -> Monomial:
     return Monomial(alpha, beta)
 
 
-def lambda_index_set(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...], tuple[Path, ...]]:
-    """The line through ``v`` and the index set of its matrix units.
+def lambda_index_set(g: Graph, v: str, *, texts: bool = False) -> tuple:
+    """The line through ``v``, its edges and the index set of its matrix units.
 
-    The index set contains one length-0 path per line vertex plus every
-    path whose last edge enters the line from outside (no shorter prefix
-    already ends on the line).  Raises when the set is infinite.
+    The index set contains one length-0 path per line vertex plus, in
+    ``path_key`` order, every path whose last edge enters the line from
+    outside (no shorter prefix already ends on the line).  With ``texts``,
+    a fourth entry holds the members' texts.  Raises when the set is infinite.
     """
     chain, edges = line_through(g, v)
-    lam = tuple(vertex_path(w) for w in chain) + entry_paths(g, chain, "the line")
-    return chain, edges, lam
+    entries, entry_texts = _entry_listing(g, chain, "the line")
+    lam = tuple(vertex_path(w) for w in chain) + tuple(entries)
+    return (chain, edges, lam, chain + tuple(entry_texts)) if texts else (chain, edges, lam)
 
 
 def lambda_size(g: Graph, v: str) -> int | None:
@@ -510,7 +513,7 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     lam_index = {p: c for c, p in enumerate(sys.lam)}
     line_edges = set(sys.line_edges)
     seen = bytearray(n)
-    for p in _paths_ending(g, {end: [()]}):
+    for p in _paths_ending(g, (end,), {})[0]:
         k = p.length
         while k and p.edges[k - 1] in line_edges:
             k -= 1

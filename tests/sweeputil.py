@@ -8,7 +8,7 @@ a single bundle to omega gives the infinite-emitter variants.
 
 from itertools import combinations_with_replacement
 
-from leavitt.graph import OMEGA, Bundle, Graph
+from leavitt.graph import OMEGA, Bundle, Graph, has_cycle
 
 VERTEX_NAMES = ("a", "b", "c", "d")
 
@@ -42,6 +42,14 @@ def sweep_graphs(max_vertices=4, max_bundles=5):
     for g in base_graphs(max_vertices, max_bundles):
         yield g
         yield from omega_promotions(g)
+
+
+def acyclic_sweep_graphs(max_vertices=4, max_bundles=5):
+    """The acyclic sweep graphs, in sweep order; an omega promotion keeps its graph's cycles."""
+    for g in base_graphs(max_vertices, max_bundles):
+        if not has_cycle(g):
+            yield g
+            yield from omega_promotions(g)
 
 
 def random_graph(rng, max_vertices=4, max_bundles=5, allow_omega=True):

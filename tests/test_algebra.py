@@ -1,5 +1,6 @@
 """Exact arithmetic in the rational Leavitt path algebra."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,25 @@ def test_parse_path_rejects_ambiguity():
         parse_path(g, "ef")
     assert "2 readings" in str(err.value)
     assert parse_path(g, "e") == Path(edges=(EdgeRef("e", 0),))
+
+
+def test_ambiguous_path_counts_readings_without_listing_them():
+    # listing every segmentation of a^28 before checking each took 10.8 s
+    # and 283 MB on a 2-core VM; a^40 has Fibonacci(41) readings
+    g = Graph(("x",), (Bundle("a", "x", "x"), Bundle("aa", "x", "x")))
+    start = time.perf_counter()
+    with pytest.raises(ContractError) as err:
+        parse_path(g, "a" * 40)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"ambiguous path {'a' * 40!r}: 165580141 readings"
+
+
+def test_parse_path_reads_the_one_valid_reading_among_many():
+    # a loop a and two edges aa into a sink: a^26 splits into a and aa in
+    # Fibonacci(27) ways, but only a^26 composes before aa#1
+    g = Graph(("x", "t"), (Bundle("a", "x", "x"), Bundle("aa", "x", "t", 2)))
+    p = parse_path(g, "a" * 26 + "aa#1")
+    assert p == Path(edges=(EdgeRef("a", 0),) * 26 + (EdgeRef("aa", 1),))
 
 
 def test_long_path_parses_without_recursion_limit():

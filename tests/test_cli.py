@@ -305,6 +305,45 @@ def test_rep_json(capsys):
     assert sum(sum(row) for row in matrix) == 2
 
 
+# bundles p3, p10, p2 are declared in neither string nor numeric order, and
+# p2 has multiplicity 3, so its edges render with their indices
+ORDERING = Graph(
+    ("a", "u", "w", "t"),
+    (
+        Bundle("p3", "u", "w"),
+        Bundle("p10", "u", "t"),
+        Bundle("p2", "u", "w", 3),
+        Bundle("q", "a", "u", 2),
+        Bundle("z", "w", "t"),
+    ),
+)
+
+
+def test_listings_follow_path_key_order(tmp_path, capsys):
+    path = tmp_path / "ordering.json"
+    path.write_text(render_document(ORDERING))
+    assert main(["naimark", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["witness"], doc["lambda_size"]) == ("w", 17)
+    assert doc["lambda"] == [
+        "w", "t",
+        "p10", "p2#0", "p2#1", "p2#2", "p3",
+        "q#0p10", "q#0p2#0", "q#0p2#1", "q#0p2#2", "q#0p3",
+        "q#1p10", "q#1p2#0", "q#1p2#1", "q#1p2#2", "q#1p3",
+    ]  # fmt: skip
+    assert main(["rep", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    basis = [
+        "t",
+        "p10", "z",
+        "p2#0z", "p2#1z", "p2#2z", "p3z", "q#0p10", "q#1p10",
+        "q#0p2#0z", "q#0p2#1z", "q#0p2#2z", "q#0p3z",
+        "q#1p2#0z", "q#1p2#1z", "q#1p2#2z", "q#1p3z",
+    ]  # fmt: skip
+    assert doc["basis"] == basis
+    assert doc["blocks"][0]["paths"] == basis
+
+
 def test_json_output_is_stable(capsys):
     assert main(["compseries", "--fixture", "OMEGA2", "--json"]) == 0
     first = capsys.readouterr().out
@@ -487,6 +526,35 @@ def test_naimark_on_a_long_fork_in_linear_time(tmp_path, capsys):
     assert main(["classes", str(path), "--json"]) == 0
     sizes = [c["size"] for c in json.loads(capsys.readouterr().out)["classes"]]
     assert sizes == [k + 1, k + 1]
+
+
+def diamond_chain(k):
+    """c0 => c1 => ... => ck, each step through a and b: |Lambda| = 2^(k+2) - 3."""
+    bundles = []
+    for i in range(k):
+        bundles += [
+            Bundle(f"p{i}", f"c{i}", f"a{i}"),
+            Bundle(f"q{i}", f"c{i}", f"b{i}"),
+            Bundle(f"x{i}", f"a{i}", f"c{i + 1}"),
+            Bundle(f"y{i}", f"b{i}", f"c{i + 1}"),
+        ]
+    vertices = [f"c{i}" for i in range(k + 1)] + [f"{x}{i}" for x in "ab" for i in range(k)]
+    return Graph(tuple(vertices), tuple(bundles))
+
+
+def test_naimark_json_lists_lambda_in_output_sized_time(tmp_path, capsys):
+    # sorting Lambda by path_key and rendering each member again took
+    # 1.4-1.8 s in process on a 2-core VM
+    k = 14
+    path = tmp_path / "diamonds.json"
+    path.write_text(render_document(diamond_chain(k)))
+
+    start = time.perf_counter()
+    assert main(["naimark", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda_size"] == len(doc["lambda"]) == 2 ** (k + 2) - 3
+    assert len(set(doc["lambda"])) == len(doc["lambda"])
 
 
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):

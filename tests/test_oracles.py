@@ -48,6 +48,14 @@ compared with the two passes of the one walk (as ordered tuples, which
 the networkx comparison does not check) and with the shared listing
 recurrence.
 
+Every listing of paths (into vertices, into the sinks, entering a vertex
+set) was built unsorted, sorted by ``path_key`` and rendered again path
+by path; it now comes out in that order with its texts.  The old listing
+is kept here and compared, order and text, on hypothesis graphs with
+multiplicities 1, 2 and omega and on every acyclic sweep graph.  ``parse_path``
+listed every segmentation of its text and checked each; that listing is
+kept and compared with the count of readings on hypothesis texts.
+
 Admissible pairs came from a walk over all 2^n vertex subsets, testing
 each for being hereditary and saturated.  It is kept here and compared,
 as the exact ordered tuple, with the flashlight search on hypothesis
@@ -70,6 +78,7 @@ directions, on every acyclic sweep graph and on hypothesis graphs, and
 the loop with the single-sink rule.
 """
 
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -89,6 +98,7 @@ from leavitt.algebra import (  # noqa: E402
     element,
     multiply_monomials,
     normal_form,
+    parse_path,
 )
 from leavitt.boundary import (  # noqa: E402
     BoundaryPath,
@@ -98,7 +108,12 @@ from leavitt.boundary import (  # noqa: E402
     st_equivalent,
 )
 from leavitt import ideals  # noqa: E402
-from leavitt.errors import InternalInvariantError, NotFinitelyPresentableError  # noqa: E402
+from leavitt.errors import (  # noqa: E402
+    ContractError,
+    GraphError,
+    InternalInvariantError,
+    NotFinitelyPresentableError,
+)
 from leavitt.graph import (  # noqa: E402
     OMEGA,
     Bundle,
@@ -107,7 +122,9 @@ from leavitt.graph import (  # noqa: E402
     Path,
     VertexClass,
     _entering,
+    _entry_listing,
     _least_rotation,
+    _paths_ending,
     _postorder,
     breaking_vertices,
     bundle_circuits,
@@ -126,6 +143,7 @@ from leavitt.graph import (  # noqa: E402
     out_degree,
     path_key,
     paths_into,
+    render_path,
     saturate,
     saturation_stages,
     simple_cycles,
@@ -166,7 +184,7 @@ from leavitt.repn import (  # noqa: E402
     verify_relations,
 )
 
-from sweeputil import base_graphs, sweep_graphs  # noqa: E402
+from sweeputil import acyclic_sweep_graphs, base_graphs  # noqa: E402
 
 SETTINGS = settings(max_examples=400, deadline=None, database=None)
 
@@ -1510,9 +1528,7 @@ def acyclic_omega_graphs(draw):
 def test_series_matches_quotient_per_step_on_the_acyclic_sweep():
     # omega promotions included, so breaking vertices and gap sinks occur
     checked = 0
-    for g in sweep_graphs():
-        if has_cycle(g):
-            continue
+    for g in acyclic_sweep_graphs():
         checked += 1
         for reverse in (False, True):
             assert composition_series(g, reverse) == quotient_per_step_series(g, reverse)
@@ -1530,3 +1546,164 @@ def test_series_matches_quotient_per_step_on_hypothesis_graphs(g):
 @given(st.one_of(graphs(), acyclic_graphs(), acyclic_omega_graphs()))
 def test_condition5_matches_per_line_point_loop(g):
     assert check_condition5(g) == per_line_point_condition5(g)
+
+
+# -- listings in path_key order, and path parsing --------------------------------
+
+
+def sorted_listing(g, ends):
+    """The paths into the ends, listed unsorted, then sorted by path_key and rendered.
+
+    ``ends`` maps a vertex x to tails: () for the path ending at x, or
+    one edge leaving x.
+    """
+    ancestors = _postorder(g._pred, ends)
+    tails = {}
+    for u in reversed(ancestors):
+        acc = list(ends.get(u, ()))
+        for b in g.out_bundles(u):
+            for tail in tails.get(b.range, ()):
+                acc.extend((EdgeRef(b.name, i),) + tail for i in range(b.multiplicity))
+        tails[u] = acc
+    paths = sorted(
+        (Path(edges=e) if e else vertex_path(u) for u in ancestors for e in tails[u]),
+        key=path_key,
+    )
+    return paths, [render_path(g, p) for p in paths]
+
+
+def check_listings(g, each_vertex=True):
+    """Compare the ordered listings with ``sorted_listing``; return how many were compared.
+
+    Sink ends: the paths into all singular vertices at once and, with
+    ``each_vertex``, into each vertex.  Entry ends: the paths entering
+    each line and each saturated tree.  Only finite listings of at most
+    LISTING_LIMIT paths.
+    """
+    limit = LISTING_LIMIT
+    compared = 0
+    for stops in [(v,) for v in g.vertices if each_vertex] + [singular_vertices(g)]:
+        counts = [count_paths_into(g, v) for v in stops]
+        if None not in counts and sum(counts) <= limit:
+            listed = _paths_ending(g, stops, {})
+            assert listed == sorted_listing(g, {v: [()] for v in stops})
+            compared += 1
+    sets = {line_through(g, v)[0] for v in line_points(g)}
+    sets.update(saturate(g, tree_of(g, v)) for v in g.vertices)
+    for t in sets:
+        n = count_entry_paths(g, t)
+        if n is not None and n <= limit:
+            ends = {}
+            for b in _entering(g, t):
+                refs = [(EdgeRef(b.name, i),) for i in range(b.multiplicity)]
+                ends.setdefault(b.source, []).extend(refs)
+            assert _entry_listing(g, t, "the set") == sorted_listing(g, ends)
+            compared += 1
+    return compared
+
+
+@SETTINGS
+@given(st.one_of(graphs(), acyclic_graphs()))
+def test_listings_match_sorted_listing(g):
+    check_listings(g)
+
+
+def test_listings_order_edge_indices_numerically():
+    # e10 sorts before e2 by name, and index 10 after index 9 by number
+    g = Graph(
+        ("u", "v", "w"),
+        (Bundle("e2", "u", "v", 12), Bundle("e10", "u", "v"), Bundle("f", "v", "w", 11)),
+    )
+    assert check_listings(g) == 6
+    texts = _paths_ending(g, ("w",), {})[1]
+    assert texts[1:3] == ["f#0", "f#1"] and texts[11] == "f#10"
+    assert texts[12:14] == ["e10f#0", "e10f#1"] and texts[23] == "e2#0f#0"
+
+
+def test_listings_match_sorted_listing_on_the_acyclic_sweep():
+    checked = 0
+    for g in acyclic_sweep_graphs():
+        checked += 1
+        assert check_listings(g, each_vertex=False)
+    assert checked == 18736
+
+
+_INDEX = re.compile(r"#(\d+)")
+
+
+def segmentation_parse(g, text):
+    """``parse_path`` by listing every segmentation of the text and checking each."""
+    if g.has_vertex(text):
+        return g.vertex_path(text)
+    names = {b.name for b in g.bundles}
+    lengths = sorted({len(name) for name in names}, reverse=True)
+    end_of_text = len(text)
+    atoms = {}
+    todo = [0]
+    while todo:
+        pos = todo.pop()
+        if pos in atoms or pos == end_of_text:
+            continue
+        found = []
+        for length in lengths:
+            end = pos + length
+            name = text[pos:end]
+            if len(name) != length or name not in names:
+                continue
+            index = 0
+            after = end
+            if text[end : end + 1] == "#":
+                m = _INDEX.match(text, end)
+                if not m:
+                    continue
+                index = int(m.group(1))
+                after = m.end()
+            elif g.bundle(name).multiplicity != 1:
+                continue
+            found.append((EdgeRef(name, index), after))
+            todo.append(after)
+        atoms[pos] = found
+    table = {end_of_text: [()]}
+    for pos in sorted(atoms, reverse=True):
+        table[pos] = [(ref,) + tail for ref, after in atoms[pos] for tail in table[after]]
+    valid = []
+    for refs in table[0]:
+        try:
+            p = Path(edges=refs)
+            g.check_path(p)
+        except GraphError:
+            continue
+        valid.append(p)
+    if not valid:
+        raise ContractError(f"cannot parse path {text!r}")
+    if len(valid) > 1:
+        raise ContractError(f"ambiguous path {text!r}: {len(valid)} readings")
+    return valid[0]
+
+
+@st.composite
+def parse_cases(draw):
+    """A graph with overlapping bundle names and a text over them, indices and junk."""
+    n = draw(st.integers(1, 3))
+    vs = tuple(f"v{i}" for i in range(n))
+    vertex = st.sampled_from(vs)
+    pool = st.sampled_from(["a", "aa", "ab", "b", "ba", "a1", "b12"])
+    names = draw(st.lists(pool, min_size=1, max_size=5, unique=True))
+    mult = st.sampled_from((1, 1, 2, 12, OMEGA))
+    g = Graph(vs, tuple(Bundle(x, draw(vertex), draw(vertex), draw(mult)) for x in names))
+    pieces = st.sampled_from(names + ["#0", "#1", "#11", "#", "c", "v0"])
+    return g, "".join(draw(st.lists(pieces, min_size=0, max_size=9)))
+
+
+def parse_outcome(parse, g, text):
+    try:
+        return parse(g, text)
+    except ContractError as err:
+        return str(err)
+
+
+@SETTINGS
+@given(parse_cases())
+def test_parse_path_matches_segmentation_listing(case):
+    g, text = case
+    assert parse_outcome(parse_path, g, text) == parse_outcome(segmentation_parse, g, text)
