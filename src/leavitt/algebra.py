@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ContractError, UnsupportedGraphError
 from .graph import (
@@ -60,8 +61,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """``s_alpha s_beta*`` with range(alpha) = range(beta)."""
 
     alpha: Path

@@ -18,9 +18,9 @@ declared vertex (or bundle) order, so every operation is deterministic.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .errors import (
     ContractError,
@@ -28,9 +28,6 @@ from .errors import (
     NotFinitelyPresentableError,
     UnknownNameError,
 )
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class _Omega:
     """Singleton multiplicity marker for countably infinite bundles."""
@@ -56,8 +53,7 @@ def is_omega(m: Multiplicity) -> bool:
     return m is OMEGA
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """A bundle of parallel edges from ``source`` to ``range``."""
 
     name: str
@@ -66,19 +62,23 @@ class Bundle:
     multiplicity: Multiplicity = 1
 
 
-@dataclass(frozen=True)
-class EdgeRef:
-    """One concrete edge: position ``index`` inside bundle ``bundle``."""
+class EdgeRef(NamedTuple):
+    """One concrete edge: position ``index`` inside bundle ``bundle``.
+
+    As a tuple it compares and hashes as the pair (bundle name, index).
+    """
 
     bundle: str
     index: int = 0
 
-    def key(self) -> tuple[str, int]:
-        return (self.bundle, self.index)
+
+# A NamedTuple may not override __new__, so Path checks its fields in a subclass.
+class _PathFields(NamedTuple):
+    vertex: str | None
+    edges: tuple[EdgeRef, ...]
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_PathFields):
     """A finite path: either a single vertex or a nonempty edge sequence.
 
     A length-0 path stores its vertex in ``vertex``; a path of positive
@@ -86,12 +86,16 @@ class Path:
     through the graph).
     """
 
-    vertex: str | None = None
-    edges: tuple[EdgeRef, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.vertex is None) == (len(self.edges) == 0):
+    def __new__(cls, vertex: str | None = None, edges: tuple[EdgeRef, ...] = ()):
+        if (vertex is None) == (len(edges) == 0):
             raise ContractError("a path is a vertex or a nonempty edge sequence, not both")
+        return tuple.__new__(cls, (vertex, edges))
+
+    @classmethod
+    def _make(cls, iterable) -> Path:  # _replace builds through _make
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
@@ -103,14 +107,11 @@ def vertex_path(v: str) -> Path:
 
 
 def path_key(p: Path) -> tuple:
-    """Deterministic sort key: length, then (name, index) per edge.
+    """Deterministic sort key: length, then the edges, each as (name, index).
 
-    Length-0 paths compare by vertex name (with index -1 so the key shape
-    matches edge paths).
+    Length-0 paths compare by vertex name.
     """
-    if p.length == 0:
-        return (0, ((p.vertex, -1),))
-    return (len(p.edges), tuple(e.key() for e in p.edges))
+    return (len(p.edges), p.edges or p.vertex)
 
 
 def concat(p: Path, q: Path) -> Path:
@@ -162,7 +163,7 @@ class Graph:
     def __post_init__(self):
         position = {}
         for i, v in enumerate(self.vertices):
-            if not isinstance(v, str) or not _NAME_RE.match(v):
+            if not (isinstance(v, str) and v.isascii() and v.isidentifier()):
                 raise GraphError(f"invalid vertex name {v!r}")
             if v in position:
                 raise GraphError(f"duplicate vertex name {v!r}")
@@ -173,7 +174,7 @@ class Graph:
         classes = dict.fromkeys(self.vertices, VertexClass.SINK)
         for i, b in enumerate(self.bundles):
             name, m = b.name, b.multiplicity
-            if not isinstance(name, str) or not _NAME_RE.match(name):
+            if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
                 raise GraphError(f"invalid bundle name {name!r}")
             if name in bundle_at:
                 raise GraphError(f"duplicate bundle name {name!r}")
@@ -305,16 +306,8 @@ class Graph:
         return vertex_path(v)
 
     def path(self, *atoms: str | EdgeRef | tuple[str, int]) -> Path:
-        """Build a path from bundle names, (name, index) pairs, or EdgeRefs."""
-        refs = []
-        for a in atoms:
-            if isinstance(a, EdgeRef):
-                refs.append(a)
-            elif isinstance(a, tuple):
-                refs.append(EdgeRef(a[0], a[1]))
-            else:
-                refs.append(EdgeRef(a, 0))
-        p = Path(edges=tuple(refs))
+        """Build a path from bundle names and (name, index) pairs, EdgeRefs included."""
+        p = Path(edges=tuple(EdgeRef(*a) if isinstance(a, tuple) else EdgeRef(a) for a in atoms))
         self.check_path(p)
         return p
 
@@ -383,17 +376,15 @@ def out_degree(g: Graph, v: str) -> Multiplicity:
 # -- reachability ------------------------------------------------------
 
 
-def _postorder(adj: dict, roots, seen=None) -> list[str]:
+def _postorder(adj: dict, roots) -> list[str]:
     """Vertices reachable from ``roots`` along ``adj`` (vertex -> neighbours), roots included.
 
     Each vertex is listed after every neighbour, except one still open on
     the walk, which happens only on a cycle; so where no cycle is reached
-    the order is children first.  Vertices already in ``seen`` are not
-    entered, and the walk adds those it lists.  Iterative: no
-    recursion-depth ceiling.
+    the order is children first.  Iterative: no recursion-depth ceiling.
     """
     order = []
-    seen = set() if seen is None else seen
+    seen = set()
     stack = [(None, iter(roots))]  # a virtual vertex over the roots, listed last
     while stack:
         u, it = stack[-1]
@@ -627,9 +618,9 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
 
 
 def _least_rotation(cycle: tuple[EdgeRef, ...]) -> tuple[EdgeRef, ...]:
-    # The edges of a simple cycle leave distinct vertices, so their keys
-    # differ, and the least rotation starts at the least edge key.
-    best = min(range(len(cycle)), key=lambda i: cycle[i].key())
+    # The edges of a simple cycle leave distinct vertices, so they differ,
+    # and the least rotation starts at the least edge.
+    best = cycle.index(min(cycle))
     return cycle[best:] + cycle[:best]
 
 
@@ -652,7 +643,7 @@ def simple_cycles(g: Graph) -> tuple[tuple[EdgeRef, ...], ...]:
         for choice in product(*(range(b.multiplicity) for b in circuit)):
             refs = tuple(EdgeRef(b.name, i) for b, i in zip(circuit, choice))
             cycles.add(_least_rotation(refs))
-    return tuple(sorted(cycles, key=lambda c: (len(c), tuple(e.key() for e in c))))
+    return tuple(sorted(cycles, key=lambda c: (len(c), c)))
 
 
 # -- line points ---------------------------------------------------------

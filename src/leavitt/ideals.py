@@ -20,6 +20,7 @@ from .graph import (
     VertexClass,
     _breaking_vertices,
     _entry_listing,
+    _ordered,
     is_hereditary,
     is_saturated,
     saturate,
@@ -52,11 +53,7 @@ def _checked_pair(g: Graph, h, s) -> tuple[AdmissiblePair, tuple[str, ...]]:
     breaking = _breaking_vertices(g, hset)
     if not sset <= set(breaking):
         raise ContractError(f"S must consist of breaking vertices of H; got {sorted(sset)}")
-    pair = AdmissiblePair(
-        tuple(v for v in g.vertices if v in hset),
-        tuple(v for v in g.vertices if v in sset),
-    )
-    return pair, breaking
+    return AdmissiblePair(_ordered(g, hset), _ordered(g, sset)), breaking
 
 
 def _fresh(base: str, taken: set) -> str:

@@ -411,7 +411,7 @@ def _verify_units(g: Graph, chain, edges, lam) -> tuple[int, ...]:
         exactly one edge, ``edges[p]``, which lands on w_(p+1), and
         w_(k-1) is a sink;
     (a) the members of ``lam`` are pairwise incomparable (neither is a
-        prefix of the other).  Sorted by source and then edge keys, a
+        prefix of the other).  Sorted by source and then edges, a
         path sorts before its extensions and everything between them
         extends it too, so a comparable pair exists iff two neighbours
         are comparable;
@@ -470,7 +470,7 @@ def _verify_units(g: Graph, chain, edges, lam) -> tuple[int, ...]:
         if a is None:
             raise InternalInvariantError(f"index path {i} does not end on the line")
         at.append(a)
-    key = [(g.path_source(p), tuple(e.key() for e in p.edges)) for p in lam]
+    key = [(g.path_source(p), p.edges) for p in lam]
     order = sorted(range(len(lam)), key=key.__getitem__)
     for i, j in zip(order, order[1:]):
         (s, x), (t, y) = key[i], key[j]

@@ -10,7 +10,9 @@ from leavitt import (
     FIXTURES,
     OMEGA,
     Bundle,
+    EdgeRef,
     Graph,
+    Monomial,
     Path,
     VertexClass,
     breaking_vertices,
@@ -131,12 +133,42 @@ def test_equal_presentations_give_equal_graphs():
 
 
 def test_path_is_vertex_or_edges():
-    with pytest.raises(ContractError):
+    message = "a path is a vertex or a nonempty edge sequence, not both"
+    with pytest.raises(ContractError, match=message):
         Path()
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=message):
+        Path(None, ())
+    with pytest.raises(ContractError, match=message):
         Path(vertex="v", edges=(LINE3.edge("e"),))
+    with pytest.raises(ContractError, match=message):
+        Path._make((None, ()))
+    with pytest.raises(ContractError, match=message):
+        LINE3.vertex_path("u")._replace(edges=(LINE3.edge("e"),))
     assert LINE3.vertex_path("u").length == 0
     assert LINE3.path("e", "f").length == 2
+    # bundle names, EdgeRefs and (name, index) pairs build the same path
+    assert LINE3.path(EdgeRef("e"), ("f", 0)) == LINE3.path("e", "f")
+
+
+def test_value_types_keep_their_reprs_and_pickle():
+    e = LINE3.edge("e")
+    p = LINE3.path("e", "f")
+    w = LINE3.vertex_path("w")
+    m = Monomial(p, w)
+    b = OMEGA1.bundle("h")
+    assert repr(e) == "EdgeRef(bundle='e', index=0)"
+    assert repr(p) == (
+        "Path(vertex=None, edges=(EdgeRef(bundle='e', index=0), EdgeRef(bundle='f', index=0)))"
+    )
+    assert repr(w) == "Path(vertex='w', edges=())"
+    assert repr(m) == f"Monomial(alpha={p!r}, beta={w!r})"
+    assert repr(b) == "Bundle(name='h', source='v', range='w', multiplicity=omega)"
+    assert EdgeRef("e") == e and Bundle("e", "u", "v") == LINE3.bundle("e")
+    for x in (e, p, w, m, b):
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and type(copy) is type(x) and hash(copy) == hash(x)
+        assert repr(copy) == repr(x)
+    assert pickle.loads(pickle.dumps(b)).multiplicity is OMEGA
 
 
 def test_path_composability_checked():

@@ -76,9 +76,16 @@ turn.  Both are kept here: the series is compared with the one that
 keeps the quotient implicit, pair for pair and factor for factor in both
 directions, on every acyclic sweep graph and on hypothesis graphs, and
 the loop with the single-sink rule.
+
+Edges, paths and monomials were dataclasses sorted through key tuples
+with one (bundle, index) pair per edge, and names were checked with a
+regular expression.  Both are kept here: the explicit keys are compared
+with the value order of the named tuples on hypothesis graphs, and the
+regular expression with the name check on hypothesis text.
 """
 
 import re
+import string
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -96,6 +103,7 @@ from leavitt.algebra import (  # noqa: E402
     Monomial,
     dimension,
     element,
+    monomial_key,
     multiply_monomials,
     normal_form,
     parse_path,
@@ -298,12 +306,12 @@ def lone_cycle_reading(g):
             if u == comp[0]:
                 cycles.append(all_rotations_least(tuple(refs)))
                 break
-    return sorted(cycles, key=lambda c: (len(c), tuple(e.key() for e in c)))
+    return sorted(cycles, key=lambda c: (len(c), tuple((e.bundle, e.index) for e in c)))
 
 
 def all_rotations_least(cycle):
     """The least rotation of a cycle, comparing every rotation's key tuple."""
-    keys = [tuple(e.key() for e in cycle[i:] + cycle[:i]) for i in range(len(cycle))]
+    keys = [tuple((e.bundle, e.index) for e in cycle[i:] + cycle[:i]) for i in range(len(cycle))]
     best = min(range(len(cycle)), key=lambda i: keys[i])
     return cycle[best:] + cycle[:best]
 
@@ -443,7 +451,7 @@ def test_census_cycles_match_circuit_listing(g):
     circuits = unpruned_bundle_circuits(g)
     from_circuits = sorted(
         (all_rotations_least(tuple(EdgeRef(b.name, 0) for b in c)) for c in circuits),
-        key=lambda c: (len(c), tuple(e.key() for e in c)),
+        key=lambda c: (len(c), tuple((e.bundle, e.index) for e in c)),
     )
     read_off = [c.representative.cycle for c in census.classes if c.representative.cycle]
     assert read_off == from_circuits == lone_cycle_reading(g)
@@ -1546,6 +1554,65 @@ def test_series_matches_quotient_per_step_on_hypothesis_graphs(g):
 @given(st.one_of(graphs(), acyclic_graphs(), acyclic_omega_graphs()))
 def test_condition5_matches_per_line_point_loop(g):
     assert check_condition5(g) == per_line_point_condition5(g)
+
+
+# -- value order of the named tuples, and the name check -------------------------
+
+# The name check before names were tested with str.isascii and str.isidentifier.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+@SETTINGS
+@given(st.text(string.printable + "_éßµªİıſ\u212a\u2160\u0661\u00a0", max_size=4))
+def test_name_check_matches_regex(name):
+    builds = (lambda: Graph((name,)), lambda: Graph(("u",), (Bundle(name, "u", "u"),)))
+    for build, what in zip(builds, ("vertex", "bundle")):
+        if NAME_RE.match(name):
+            build()
+        else:
+            with pytest.raises(GraphError, match=f"invalid {what} name"):
+                build()
+
+
+def explicit_edges_key(edges):
+    return tuple((e.bundle, e.index) for e in edges)
+
+
+def explicit_path_key(p):
+    """The order ``path_key`` promises, one (bundle, index) pair per edge."""
+    if p.vertex is not None:
+        return (0, ((p.vertex, -1),))
+    return (len(p.edges), explicit_edges_key(p.edges))
+
+
+@SETTINGS
+@given(graphs())
+def test_value_order_is_explicit_edge_order(g):
+    for v in g.vertices:
+        n = count_paths_into(g, v)
+        if n is None or n > LISTING_LIMIT:
+            continue
+        listed = paths_into(g, v)
+        assert list(listed) == sorted(listed, key=explicit_path_key)
+        edge_paths = [p for p in listed if p.length]
+        assert edge_paths == sorted(edge_paths, key=lambda p: (p.length, p))
+        some = listed[:6]
+        monomials = [Monomial(a, b) for a in some for b in some]
+        assert sorted(monomials, key=monomial_key) == sorted(
+            monomials,
+            key=lambda m: (
+                m.alpha.length,
+                m.beta.length,
+                explicit_path_key(m.alpha)[1],
+                explicit_path_key(m.beta)[1],
+            ),
+        )
+    try:
+        cycles = simple_cycles(g)
+    except NotFinitelyPresentableError:
+        return
+    assert list(cycles) == sorted(cycles, key=lambda c: (len(c), explicit_edges_key(c)))
+    assert all(c == all_rotations_least(c) for c in cycles)
 
 
 # -- listings in path_key order, and path parsing --------------------------------
