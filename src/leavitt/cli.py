@@ -14,6 +14,7 @@ handler names is reported as ``internal: <Type>: <message>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,8 +136,56 @@ def load_graph(path: str) -> Graph:
     return parse_document(doc)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# The scalars written without json.dumps: exact str and exact int.
+_ENCODERS = {str: _encode_str, int: int.__repr__}
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    The indented layout is written here, with the C string encoder for
+    strings and keys and ``int.__repr__`` for exact ints, since
+    ``json.dumps`` with an indent encodes in pure Python.  Any other value
+    (bool, None, float, a subclass, a dict with a non-``str`` key) goes to
+    ``json.dumps`` itself, re-indented to its depth.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    print("".join(out))
+
+
+def _write(x, pad: str, out: list[str]) -> None:
+    """Append the text of ``x`` at the depth whose line break is ``pad``."""
+    kind = type(x)
+    encode = _ENCODERS.get(kind)
+    if encode is not None:
+        out.append(encode(x))
+    elif (kind is dict or kind is list or kind is tuple) and not x:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict and set(map(type, x)) == {str}:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        inner = pad + "  "
+        kinds = set(map(type, x))
+        encode = _ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
+        if encode is not None:
+            out.append("[" + inner + ("," + inner).join(map(encode, x)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def _size(n: int | None):
@@ -310,7 +359,7 @@ def cmd_rep(g: Graph, args) -> int:
                     for paths, ok in zip(blocks, irreducible)
                 ],
                 "generators": {
-                    label: [[int(x) for x in row] for row in R.matrix(label)]
+                    label: _matrix_rows(R.generator_map(label), R.dimension)
                     for label in R.generator_labels()
                 },
             }
@@ -323,6 +372,14 @@ def cmd_rep(g: Graph, args) -> int:
         print(f"block {i}: size {len(paths)}, irreducible: {_yes(ok)}, paths: " + ", ".join(paths))
     print(f"algebra dimension: {dimension(g)}")
     return 0
+
+
+def _matrix_rows(m: dict[int, int], n: int) -> list[list[int]]:
+    """The 0/1 rows of a partial map's n x n matrix: entry [image, argument] is 1."""
+    rows = [[0] * n for _ in range(n)]
+    for j, i in m.items():
+        rows[i][j] = 1
+    return rows
 
 
 def cmd_ideals(g: Graph, args) -> int:
@@ -360,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, json_flag=True):
+    def add(name, help_text, json_flag=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", nargs="?", help="graph document (JSON)")
         p.add_argument(
@@ -370,16 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--json", action="store_true", help="machine-readable output"
             )
-        p.set_defaults(func=func)
         return p
 
-    add("analyze", cmd_analyze, "classify vertices, cycles, line points, components")
-    add("naimark", cmd_naimark, "decide uniqueness of the irreducible representation")
-    add("classes", cmd_classes, "shift-tail class census and spectrum case")
-    add("compseries", cmd_compseries, "composition series of admissible pairs")
-    add("rep", cmd_rep, "boundary-path representation: matrices, blocks, certificates")
-    add("ideals", cmd_ideals, "enumerate admissible pairs")
-    add("export-dot", cmd_export_dot, "emit the graph in DOT format", json_flag=False)
+    add("analyze", "classify vertices, cycles, line points, components")
+    add("naimark", "decide uniqueness of the irreducible representation")
+    add("classes", "shift-tail class census and spectrum case")
+    add("compseries", "composition series of admissible pairs")
+    add("rep", "boundary-path representation: matrices, blocks, certificates")
+    add("ideals", "enumerate admissible pairs")
+    add("export-dot", "emit the graph in DOT format", json_flag=False)
     return parser
 
 
@@ -393,12 +449,21 @@ def _resolve_graph(args, parser: argparse.ArgumentParser) -> Graph:
     return load_graph(args.file)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; may be called repeatedly in one process."""
+    parser = _parser()
     args = parser.parse_args(argv)
+    # Looked up at call time, so that a replaced cmd_<name> takes effect.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         g = _resolve_graph(args, parser)
-        return args.func(g, args)
+        return handler(g, args)
     except UnsupportedGraphError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 Each case runs ``leavitt.cli.main`` in process on a built-in fixture and
 compares stdout, stderr and the exit code with ``golden_cli.json`` next
-to this file.  When an output change is intended, regenerate the data
-from the repository root with
+to this file, read once per module.  When an output change is intended,
+regenerate the data from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from leavitt import cli
 from leavitt.cli import main
 from leavitt.fixtures import FIXTURES
 
@@ -41,18 +42,41 @@ def run(argv: list[str]) -> dict:
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def _load() -> dict:
+@pytest.fixture(scope="module")
+def golden() -> dict:
     with open(DATA, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def test_golden_covers_every_case():
-    assert sorted(_load()) == sorted(" ".join(a) for a in cases())
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(" ".join(a) for a in cases())
 
 
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
-def test_golden_cli(argv):
-    assert run(argv) == _load()[" ".join(argv)]
+def test_golden_cli(argv, golden):
+    assert run(argv) == golden[" ".join(argv)]
+
+
+def test_main_reuses_one_parser(golden):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # a usage error leaves the shared parser as it was
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze"])
+    assert exc.value.code == 2
+    argv = ["naimark", "--fixture", "LINE3"]
+    assert run(argv) == golden[" ".join(argv)]
+    assert golden[" ".join(argv)]["exit"] == 0
+    # commands and --json alternate over every fixture, in both orders
+    for order in (1, -1):
+        for fixture in FIXTURES:
+            for command in COMMANDS[::order]:
+                for argv in (
+                    [command, "--fixture", fixture, "--json"],
+                    ["export-dot", "--fixture", fixture],
+                    [command, "--fixture", fixture],
+                ):
+                    assert run(argv) == golden[" ".join(argv)], argv
 
 
 if __name__ == "__main__":

@@ -82,11 +82,22 @@ with one (bundle, index) pair per edge, and names were checked with a
 regular expression.  Both are kept here: the explicit keys are compared
 with the value order of the named tuples on hypothesis graphs, and the
 regular expression with the name check on hypothesis text.
+
+The CLI wrote ``--json`` with ``json.dumps(payload, indent=2,
+sort_keys=True)``, which encodes in pure Python, and ``rep --json`` read
+each generator's rows from its dense ``Fraction`` matrix.  Both are kept
+here: ``json.dumps`` is compared, byte for byte, with the CLI's own
+writer on hypothesis payloads, and the ``Fraction`` rows with the rows
+built from the partial maps on hypothesis acyclic graphs.
 """
 
+import contextlib
+import io
+import json
 import re
 import string
 import time
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -116,6 +127,7 @@ from leavitt.boundary import (  # noqa: E402
     st_equivalent,
 )
 from leavitt import ideals  # noqa: E402
+from leavitt.cli import _emit, _matrix_rows  # noqa: E402
 from leavitt.errors import (  # noqa: E402
     ContractError,
     GraphError,
@@ -1774,3 +1786,56 @@ def parse_outcome(parse, g, text):
 def test_parse_path_matches_segmentation_listing(case):
     g, text = case
     assert parse_outcome(parse_path, g, text) == parse_outcome(segmentation_parse, g, text)
+
+
+# -- the CLI's JSON writer and rep rows ------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é✓ω\u2028\U0001d11e'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT,
+    st.integers(-1000, 1000),
+    st.integers(-(10**60), 10**60),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_Pair = namedtuple("_Pair", "first second")
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_JSON_TEXT, max_size=4),
+        st.lists(st.integers(-(10**30), 10**30), max_size=4),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(-50, 50), children, max_size=3),
+        st.dictionaries(_JSON_TEXT, children, max_size=3).map(OrderedDict),
+        st.tuples(children, children).map(lambda t: _Pair(*t)),
+    )
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(st.recursive(_JSON_SCALARS, _containers, max_leaves=30))
+def test_json_writer_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(acyclic_graphs())
+def test_rep_rows_match_fraction_matrices(g):
+    R = build_rho(g)
+    for label in R.generator_labels():
+        rows = _matrix_rows(R.generator_map(label), R.dimension)
+        assert rows == [[int(x) for x in row] for row in R.matrix(label)]
+        assert all(type(x) is int for row in rows for x in row)
