@@ -51,7 +51,7 @@ class BoundaryPath:
 
 def _primitive_root(cycle: tuple[EdgeRef, ...]) -> tuple[EdgeRef, ...]:
     n = len(cycle)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p == 0 and cycle == cycle[p:] + cycle[:p]:
             return cycle[:p]
     return cycle

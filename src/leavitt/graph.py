@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import compress, product
 from typing import NamedTuple
 
 from .errors import (
@@ -461,35 +461,27 @@ def is_saturated(g: Graph, h) -> bool:
     )
 
 
-def _saturation_rounds(g: Graph, h):
-    """Yield the hereditary set ``h``, then the vertices each saturation round adjoins.
+def _joining_rounds(g: Graph, h) -> dict[str, int]:
+    """Each vertex of the saturation of the hereditary set ``h`` -> the round it joins.
 
-    A round adjoins every regular vertex all of whose outgoing edges land
-    in the set so far.  Each regular vertex outside ``h`` counts its
-    bundles still leaving the set and joins the round after that count
-    reaches 0, so all rounds together take O(n + m).
+    A round adjoins each regular vertex whose edges all land in the set so
+    far: ``h`` joins in round 0, a regular vertex one round after its last
+    successor.  The set stays hereditary, so a vertex on a cycle never
+    joins: its successor on the cycle would join first, and reaches it.
+    Off every cycle a vertex comes after all its successors in the walk
+    order, so one pass over it finds every round: O(n + m).
     """
     hset = _check_subset(g, h)
     if not is_hereditary(g, hset):
         raise ContractError("saturation requires a hereditary set")
-    out = g._out
-    leaving = {
-        v: sum(b.range not in hset for b in out[v])
-        for v, c in g._classes.items()
-        if c is VertexClass.REGULAR and v not in hset
-    }
-    yield hset
-    adjoined = [v for v, n in leaving.items() if n == 0]
-    while adjoined:
-        yield adjoined
-        joining = []
-        for w in adjoined:
-            for b in g._into[w]:
-                if b.source in leaving:
-                    leaving[b.source] -= 1
-                    if leaving[b.source] == 0:
-                        joining.append(b.source)
-        adjoined = joining
+    succ, cyclic, classes, regular = g._succ, g._cyclic, g._classes, VertexClass.REGULAR
+    rounds = {}
+    for v in g._order:
+        if v in hset:
+            rounds[v] = 0
+        elif classes[v] is regular and v not in cyclic and all(w in rounds for w in succ[v]):
+            rounds[v] = 1 + max(rounds[w] for w in succ[v])
+    return rounds
 
 
 def saturation_stages(g: Graph, h) -> list[tuple[str, ...]]:
@@ -498,12 +490,17 @@ def saturation_stages(g: Graph, h) -> list[tuple[str, ...]]:
     Each round adjoins every regular vertex all of whose outgoing edges
     land in the previous stage.  The last stage is the saturation.
     """
-    return [_ordered(g, hs) for hs in accumulate(_saturation_rounds(g, h), set.union)]
+    member, stages = [False] * len(g.vertices), []
+    for k, i in sorted((k, g._position[v]) for v, k in _joining_rounds(g, h).items()):
+        if k > len(stages):  # rounds run 0, 1, ...: the first of round k closes stage k - 1
+            stages.append(tuple(compress(g.vertices, member)))
+        member[i] = True
+    return stages + [tuple(compress(g.vertices, member))]
 
 
 def saturate(g: Graph, h) -> tuple[str, ...]:
     """Smallest saturated set containing the hereditary set ``h``."""
-    return _ordered(g, set().union(*_saturation_rounds(g, h)))
+    return _ordered(g, _joining_rounds(g, h))
 
 
 def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
@@ -672,21 +669,20 @@ def line_points(g: Graph) -> tuple[str, ...]:
 
 
 def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]]:
-    """The vertex chain w0=v, w1, ... and its edges for a line point."""
+    """The vertex chain w0=v, w1, ... and its edges for a line point.
+
+    Walks the line and refuses at the first vertex on a cycle or emitting
+    two or more edges; off every cycle no vertex comes back, so the walk
+    ends at a sink after at most n steps.
+    """
     g.vertex_index(v)
-    if v not in line_points(g):
-        raise ContractError(f"{v!r} is not a line point")
-    chain = [v]
-    edges = []
-    cur = v
-    while True:
-        out = g.out_bundles(cur)
-        if not out:
-            return tuple(chain), tuple(edges)
-        b = out[0]
-        edges.append(EdgeRef(b.name, 0))
-        chain.append(b.range)
-        cur = b.range
+    chain, edges = [v], []
+    while bs := g._out[chain[-1]]:
+        if chain[-1] in g._cyclic or len(bs) > 1 or bs[0].multiplicity != 1:
+            raise ContractError(f"{v!r} is not a line point")
+        edges.append(EdgeRef(bs[0].name, 0))
+        chain.append(bs[0].range)
+    return tuple(chain), tuple(edges)
 
 
 # -- path counting -------------------------------------------------------

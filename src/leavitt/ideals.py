@@ -145,6 +145,32 @@ def _closed(ranges, m: int) -> int:
     return m
 
 
+def _walk_masks(g: Graph, bit: dict) -> tuple[list[int], list[tuple[int, int]]]:
+    """Each vertex's tree as a mask, in declared order, and the ``ranges`` of ``_closed``.
+
+    One pass over the walk order ORs into each strongly connected
+    component its vertices and the reach of each component its edges
+    enter.  For an edge u -> w between components, the walk finishes
+    everything w reaches before u: none of it is open when u finishes
+    (it would reach u, putting w in u's component), and none unvisited
+    (a path to it from finished w would leave a finished vertex for an
+    unvisited one).  So w's component, with every reach it ORs in, is
+    complete when u reads it.
+    """
+    succ, comp = g._succ, g._comp_of
+    reach = [0] * len(g._sccs)
+    ranges = []
+    for v in g._order:
+        m, r = reach[comp[v]] | bit[v], 0
+        for w in succ[v]:
+            m |= reach[comp[w]]
+            r |= bit[w]
+        reach[comp[v]] = m
+        if g._classes[v] is VertexClass.REGULAR:
+            ranges.append((bit[v], r))
+    return [reach[comp[v]] for v in g.vertices], ranges
+
+
 def _saturated_hereditary_masks(g: Graph) -> list[int]:
     """Every saturated hereditary set, as a mask over vertex positions, unordered.
 
@@ -164,29 +190,8 @@ def _saturated_hereditary_masks(g: Graph) -> list[int]:
     n times as many tests as there are sets.  Iterative, with an
     explicit stack.
     """
-    succ = g._succ
-    position = g._position
-    order = g._order
-    bit = {v: 1 << position[v] for v in order}
-    tree = dict.fromkeys(order, 0)
-    grew = True
-    while grew:  # one pass where no cycle intervenes, and one to confirm
-        grew = False
-        for v in order:
-            m = bit[v]
-            for w in succ[v]:
-                m |= tree[w]
-            if m != tree[v]:
-                tree[v] = m
-                grew = True
-    ranges = []
-    for v in order:
-        if g._classes[v] is VertexClass.REGULAR:
-            r = 0
-            for w in succ[v]:
-                r |= bit[w]
-            ranges.append((bit[v], r))
-    trees = [tree[v] for v in g.vertices]
+    bit = {v: 1 << g._position[v] for v in g.vertices}
+    trees, ranges = _walk_masks(g, bit)
     found = []
     stack = [(0, 0, 0)]  # (C, X, first undecided position); the empty set is saturated
     while stack:

@@ -16,7 +16,9 @@ equals the class count.  With a cycle present the spectrum is uncountable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
+from .algebra import dimension
 from .boundary import BoundaryPath, ClassCensus, enumerate_classes
 from .errors import InternalInvariantError, UnsupportedGraphError
 from .graph import (
@@ -78,8 +80,6 @@ def naimark_decision(g: Graph) -> NaimarkReport:
     graph never has infinite emitters (an omega bundle forces either a
     second class or a cycle), so the index set is always finite here.
     """
-    from .algebra import dimension
-
     census = enumerate_classes(g)
     c4 = _condition4(g, census)
     witness = check_condition5(g)
@@ -140,8 +140,6 @@ def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
       into the gap sink, so no line passes one and no saturation reaches
       a gap sink: S stays empty and the next H saturates H + {t} in g.
     """
-    from heapq import heappop, heappush
-
     if has_cycle(g):
         raise UnsupportedGraphError("graph has a cycle")
     out, pred, position = g._out, g._pred, g._position

@@ -44,6 +44,16 @@ def sweep_graphs(max_vertices=4, max_bundles=5):
         yield from omega_promotions(g)
 
 
+def sampled_sweep_graphs(step, max_vertices=4, max_bundles=5):
+    """Every ``step``-th graph of ``sweep_graphs``, building no promotion it skips."""
+    i = 0
+    for g in base_graphs(max_vertices, max_bundles):
+        for j in range(-1, len(g.bundles)):
+            if i % step == 0:
+                yield g if j < 0 else omega_promotion(g, j)
+            i += 1
+
+
 def acyclic_sweep_graphs(max_vertices=4, max_bundles=5):
     """The acyclic sweep graphs, in sweep order; an omega promotion keeps its graph's cycles."""
     for g in base_graphs(max_vertices, max_bundles):

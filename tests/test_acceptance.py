@@ -301,25 +301,36 @@ def test_criterion_7(capsys):
 
 
 def _growth_doubles(g, horizon=12):
-    """True iff some vertex carries two length-n circuits for an n <= horizon."""
+    """True iff some vertex carries two length-n circuits for an n <= horizon.
+
+    Row i of the path-count matrix, capped at 2, is kept as two bit masks:
+    the columns with at least one path and those with at least two.  A
+    product entry reaches 2 when one term does (a count of 2 times a
+    count of 1 or more, either way round) or when two terms reach 1.
+    """
     idx = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
-    a = [[0] * n for _ in range(n)]
+    one, two = [0] * n, [0] * n
     for b in g.bundles:
-        w = 2 if is_omega(b.multiplicity) else min(b.multiplicity, 2)
-        a[idx[b.source]][idx[b.range]] = min(2, a[idx[b.source]][idx[b.range]] + w)
-    p = a
+        i, bit = idx[b.source], 1 << idx[b.range]
+        if is_omega(b.multiplicity) or b.multiplicity > 1 or one[i] & bit:
+            two[i] |= bit
+        one[i] |= bit
+    p_one, p_two = one, two
     for step in range(horizon):
-        if any(p[i][i] >= 2 for i in range(n)):
+        if any(p_two[i] >> i & 1 for i in range(n)):
             return True
         if step + 1 < horizon:
-            p = [
-                [
-                    min(2, sum(p[i][k] * a[k][j] for k in range(n)))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            rows_one, rows_two = [], []
+            for i in range(n):
+                r1 = r2 = 0
+                for k in range(n):
+                    if p_one[i] >> k & 1:
+                        r2 |= r1 & one[k] | (one[k] if p_two[i] >> k & 1 else two[k])
+                        r1 |= one[k]
+                rows_one.append(r1)
+                rows_two.append(r2)
+            p_one, p_two = rows_one, rows_two
     return False
 
 

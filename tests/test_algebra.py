@@ -79,6 +79,8 @@ def test_element_normalizes():
     assert x.is_zero() and x == ZERO
     y = element([(m, Fraction(1, 2)), (m, Fraction(1, 3))])
     assert y.coefficient(m) == Fraction(5, 6)
+    q = LINE3.vertex_path("v")
+    assert y.coefficient(Monomial(q, q)) == 0
 
 
 def test_monomial_requires_common_range():
@@ -98,7 +100,14 @@ def test_render_orders_terms():
     assert render_element(LINE3, x) == "-p_u + 3/2*ef.w*"
 
 
+def test_parse_accepts_a_leading_plus():
+    p = LINE3.vertex_path("u")
+    assert parse_element(LINE3, "+p_u") == element([(Monomial(p, p), 1)])
+
+
 def test_parse_rejects_garbage():
+    with pytest.raises(ContractError, match="^cannot parse element ''$"):
+        parse_element(LINE3, "")
     with pytest.raises(ContractError):
         parse_element(LINE3, "p_u +")
     with pytest.raises(ContractError):

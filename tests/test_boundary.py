@@ -63,6 +63,11 @@ def test_cycle_validation():
     assert ok.cycle == (e,)
 
 
+def test_cycle_must_start_where_the_prefix_ends():
+    with pytest.raises(ContractError, match="^cycle must start where the prefix ends$"):
+        boundary_path(ENTRYLOOP, ENTRYLOOP.vertex_path("u"), (ENTRYLOOP.edge("a"),))
+
+
 def test_cycle_reduced_to_primitive_root():
     e = LOOP1.edge("e")
     doubled = boundary_path(LOOP1, LOOP1.vertex_path("v"), (e, e))
@@ -318,6 +323,14 @@ def test_class_of_routes_paths_to_their_class():
     w = boundary_path(FORK, FORK.vertex_path("w"))
     assert class_of(FORK, census, e) == 0
     assert class_of(FORK, census, w) == 1
+
+
+def test_class_of_refuses_a_path_outside_the_census():
+    # an uncountable census lists no classes
+    census = enumerate_classes(ROSE2)
+    b = boundary_path(ROSE2, ROSE2.path("e"), (ROSE2.edge("f"),))
+    with pytest.raises(ContractError, match="^boundary path belongs to no census class$"):
+        class_of(ROSE2, census, b)
 
 
 def test_class_of_on_a_long_cycle_in_linear_time():

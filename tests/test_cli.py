@@ -295,6 +295,43 @@ def test_analyze_json_round_trips_graph(capsys):
     assert doc["acyclic"] is True
 
 
+OMEGA_LOOP_NOTE = (
+    "bundle 'e' has multiplicity omega and lies on a cycle; the simple cycles cannot be listed"
+)
+
+
+def test_analyze_reports_unlistable_cycles(tmp_path, capsys):
+    g = Graph(("v", "w"), (Bundle("e", "v", "v", OMEGA), Bundle("f", "v", "w")))
+    path = tmp_path / "omega_loop.json"
+    path.write_text(render_document(g))
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "graph: 2 vertices, 2 bundles\n"
+        "vertex v: infinite-emitter\n"
+        "vertex w: sink\n"
+        "bundle e: v -> v ×ω\n"
+        "bundle f: v -> w ×1\n"
+        "acyclic: no\n"
+        f"simple cycles: unavailable ({OMEGA_LOOP_NOTE})\n"
+        "line points: w\n"
+        "downward directed: yes\n"
+        "strongly connected components: [v] [w]\n"
+    )
+    assert main(["analyze", str(path), "--json"]) == 0
+    expected = {
+        "acyclic": False,
+        "downward_directed": True,
+        "graph": graph_to_document(g),
+        "line_points": ["w"],
+        "simple_cycles": None,
+        "simple_cycles_note": OMEGA_LOOP_NOTE,
+        "singular_vertices": ["v", "w"],
+        "strongly_connected_components": [["v"], ["w"]],
+        "vertex_classes": {"v": "infinite-emitter", "w": "sink"},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_rep_json(capsys):
     assert main(["rep", "--fixture", "FORK", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

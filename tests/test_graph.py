@@ -41,7 +41,14 @@ from leavitt.errors import (
     NotFinitelyPresentableError,
     UnknownNameError,
 )
-from leavitt.graph import line_through, out_degree, path_key, starts_with, strip_prefix
+from leavitt.graph import (
+    escaping_edges,
+    line_through,
+    out_degree,
+    path_key,
+    starts_with,
+    strip_prefix,
+)
 
 from sweeputil import random_graph
 
@@ -341,6 +348,13 @@ def test_saturate_requires_hereditary():
         saturate(LINE3, {"u"})
 
 
+def test_unknown_vertex_in_a_set_is_refused():
+    with pytest.raises(UnknownNameError, match="unknown vertex 'nope'"):
+        is_hereditary(LINE3, {"w", "nope"})
+    with pytest.raises(UnknownNameError, match="unknown vertex 'nope'"):
+        saturate(LINE3, {"w", "nope"})
+
+
 def test_saturation_stages_grow_to_fixed_point():
     stages = saturation_stages(FORK, {"v", "w"})
     assert stages == [("v", "w"), ("u", "v", "w")]
@@ -464,6 +478,23 @@ def test_paths_into_refuses_infinite():
         paths_into(LOOP1, "v")
     with pytest.raises(NotFinitelyPresentableError):
         paths_into(OMEGA1, "w")
+
+
+def test_lookups_refuse_unknown_names():
+    with pytest.raises(UnknownNameError, match="^unknown bundle 'nope'$"):
+        LINE3.bundle("nope")
+    for lookup in (LINE3.out_bundles, LINE3.in_bundles):
+        with pytest.raises(UnknownNameError, match="^unknown vertex 'nope'$"):
+            lookup("nope")
+    assert LINE3.has_vertex([]) is False
+    with pytest.raises(ContractError) as err:
+        LINE3.check_edge(EdgeRef("e", -1))
+    assert str(err.value) == f"edge index must be nonnegative: {EdgeRef('e', -1)}"
+
+
+def test_escaping_edges_refuse_an_omega_bundle():
+    with pytest.raises(NotFinitelyPresentableError, match="^bundle 'h' escapes"):
+        escaping_edges(OMEGA1, (), "v")
 
 
 def test_edge_refs_require_finite_multiplicities():

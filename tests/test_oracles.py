@@ -89,6 +89,20 @@ each generator's rows from its dense ``Fraction`` matrix.  Both are kept
 here: ``json.dumps`` is compared, byte for byte, with the CLI's own
 writer on hypothesis payloads, and the ``Fraction`` rows with the rows
 built from the partial maps on hypothesis acyclic graphs.
+
+Saturation propagated counters: each regular vertex outside the set
+counted its bundles still leaving it and joined the round after that
+count reached 0.  The tree masks of the flashlight search repeated passes
+over the walk order until no mask grew, and ``line_through`` decided
+every line point of the graph to check one vertex.  All three are kept
+here and compared with the single passes over the walk order on
+hypothesis graphs with multiplicities 1, 2 and omega: the counters from
+every vertex subset (the refusal of a set that is not hereditary
+included), the masks as lists, and the line walk on every vertex, as
+its result or its refusal.  Criterion 8's growth oracle multiplied count
+matrices capped at 2 entry by entry; that version is kept here and
+compared with the bit rows on hypothesis graphs and on every 16th sweep
+graph.
 """
 
 import contextlib
@@ -99,7 +113,7 @@ import string
 import time
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 
 import pytest
 
@@ -204,7 +218,13 @@ from leavitt.repn import (  # noqa: E402
     verify_relations,
 )
 
-from sweeputil import acyclic_sweep_graphs, base_graphs  # noqa: E402
+from sweeputil import (  # noqa: E402
+    acyclic_sweep_graphs,
+    base_graphs,
+    sampled_sweep_graphs,
+    sweep_graphs,
+)
+from test_acceptance import _growth_doubles  # noqa: E402
 
 SETTINGS = settings(max_examples=400, deadline=None, database=None)
 
@@ -1839,3 +1859,150 @@ def test_rep_rows_match_fraction_matrices(g):
         rows = _matrix_rows(R.generator_map(label), R.dimension)
         assert rows == [[int(x) for x in row] for row in R.matrix(label)]
         assert all(type(x) is int for row in rows for x in row)
+
+
+# -- closures: saturation counters, the tree-mask fixpoint, the line check ---------
+
+
+def counter_saturation_rounds(g, h):
+    """Yield the hereditary set ``h``, then each round's vertices.
+
+    Each regular vertex outside ``h`` counts its bundles still leaving the set and joins
+    the round after that count reaches 0.
+    """
+    hset = set(h)
+    leaving = {
+        v: sum(b.range not in hset for b in g.out_bundles(v))
+        for v in g.vertices
+        if classify_vertex(g, v) is VertexClass.REGULAR and v not in hset
+    }
+    yield hset
+    adjoined = [v for v, n in leaving.items() if n == 0]
+    while adjoined:
+        yield adjoined
+        joining = []
+        for w in adjoined:
+            for b in g.in_bundles(w):
+                if b.source in leaving:
+                    leaving[b.source] -= 1
+                    if leaving[b.source] == 0:
+                        joining.append(b.source)
+        adjoined = joining
+
+
+def counter_saturation_stages(g, h):
+    stages = accumulate(counter_saturation_rounds(g, h), set.union)
+    return [tuple(v for v in g.vertices if v in s) for s in stages]
+
+
+@SETTINGS
+@given(graphs())
+def test_saturation_matches_counter_rounds(g):
+    for r in range(len(g.vertices) + 1):
+        for h in combinations(g.vertices, r):
+            if not is_hereditary(g, h):
+                with pytest.raises(ContractError, match="^saturation requires a hereditary set$"):
+                    saturate(g, h)
+                continue
+            stages = counter_saturation_stages(g, h)
+            assert saturation_stages(g, h) == stages
+            assert saturate(g, h) == stages[-1]
+
+
+def fixpoint_tree_masks(g):
+    """Passes over the walk order, each vertex ORing in its successors' masks, until none grows."""
+    bit = {v: 1 << g.vertex_index(v) for v in g.vertices}
+    tree = dict.fromkeys(g.vertices, 0)
+    grew = True
+    while grew:
+        grew = False
+        for v in g._order:
+            m = bit[v]
+            for b in g.out_bundles(v):
+                m |= tree[b.range]
+            if m != tree[v]:
+                tree[v] = m
+                grew = True
+    return [tree[v] for v in g.vertices]
+
+
+@SETTINGS
+@given(graphs(max_vertices=10))
+def test_tree_masks_match_fixpoint(g):
+    bit = {v: 1 << g.vertex_index(v) for v in g.vertices}
+    trees, ranges = ideals._walk_masks(g, bit)
+    assert trees == fixpoint_tree_masks(g)
+    assert trees == [sum(bit[w] for w in tree_of(g, v)) for v in g.vertices]
+    assert ranges == [
+        (bit[v], sum({bit[b.range] for b in g.out_bundles(v)}))
+        for v in g._order
+        if classify_vertex(g, v) is VertexClass.REGULAR
+    ]
+
+
+def whole_graph_line_through(g, v):
+    """Every line point of the graph decided, then the line walked."""
+    g.vertex_index(v)
+    if v not in line_points(g):
+        raise ContractError(f"{v!r} is not a line point")
+    chain, edges = [v], []
+    while g.out_bundles(chain[-1]):
+        b = g.out_bundles(chain[-1])[0]
+        edges.append(EdgeRef(b.name, 0))
+        chain.append(b.range)
+    return tuple(chain), tuple(edges)
+
+
+def line_outcome(walk, g, v):
+    try:
+        return walk(g, v)
+    except ContractError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(graphs())
+def test_line_through_matches_whole_graph_check(g):
+    for v in g.vertices:
+        assert line_outcome(line_through, g, v) == line_outcome(whole_graph_line_through, g, v)
+
+
+# -- criterion 8's growth oracle: count matrices against bit rows ----------------
+
+
+def matrix_growth_doubles(g, horizon=12):
+    """Criterion 8's oracle on count matrices capped at 2, multiplied entry by entry."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices)
+    a = [[0] * n for _ in range(n)]
+    for b in g.bundles:
+        w = 2 if is_omega(b.multiplicity) else min(b.multiplicity, 2)
+        a[idx[b.source]][idx[b.range]] = min(2, a[idx[b.source]][idx[b.range]] + w)
+    p = a
+    for step in range(horizon):
+        if any(p[i][i] >= 2 for i in range(n)):
+            return True
+        if step + 1 < horizon:
+            p = [
+                [min(2, sum(p[i][k] * a[k][j] for k in range(n))) for j in range(n)]
+                for i in range(n)
+            ]
+    return False
+
+
+@SETTINGS
+@given(graphs(), st.integers(1, 12))
+def test_growth_bit_rows_match_count_matrices(g, horizon):
+    assert _growth_doubles(g, horizon) == matrix_growth_doubles(g, horizon)
+
+
+def test_sampled_sweep_is_every_step_th_sweep_graph():
+    assert list(sampled_sweep_graphs(7, 3, 4)) == list(islice(sweep_graphs(3, 4), 0, None, 7))
+
+
+def test_growth_bit_rows_match_count_matrices_on_the_sweep():
+    graphs_seen = 0
+    for g in sampled_sweep_graphs(16):
+        graphs_seen += 1
+        assert _growth_doubles(g) == matrix_growth_doubles(g), g
+    assert graphs_seen == -(-127771 // 16)
