@@ -125,14 +125,19 @@ def render_document(g: Graph) -> str:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise SchemaError(f"{path}: nested too deeply to decode") from exc
     return parse_document(doc)
 
 

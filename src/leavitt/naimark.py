@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import compress
 
 from .algebra import dimension
 from .boundary import BoundaryPath, ClassCensus, enumerate_classes
@@ -24,13 +25,14 @@ from .errors import InternalInvariantError, UnsupportedGraphError
 from .graph import (
     Graph,
     has_cycle,
+    is_singular,
     line_points,
     saturate,
     saturation_stages,
     singular_vertices,
     tree_of,
 )
-from .ideals import AdmissiblePair, admissible_pair
+from .ideals import AdmissiblePair
 from .repn import lambda_size
 
 
@@ -130,7 +132,7 @@ def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
     acyclic graph; then the series length matches the census.  By the two
     facts below no quotient is built: a step touches the vertices joining
     H and their in-bundles, scans the out-bundles of each vertex left one
-    bundle out of H, and certifies its pair in O(n + m).
+    bundle out of H, and lists its pair; one pass certifies every pair.
 
     - Path counts carry over: a survivor keeps its ancestors and the
       bundles into it, so a factor's size is g's path count of the sink
@@ -142,39 +144,49 @@ def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
     """
     if has_cycle(g):
         raise UnsupportedGraphError("graph has a cycle")
-    out, pred, position = g._out, g._pred, g._position
-    singular = set(singular_vertices(g))
+    out, pred, position, singular = g._out, g._pred, g._position, set(singular_vertices(g))
     exits = {v: len(bs) for v, bs in out.items()}  # out-bundles with range outside H
-    h, line_next, heap, stack = set(), {}, [], list(g.vertices)
-    sign, pairs, factors = -1 if reverse else 1, [admissible_pair(g, (), ())], []
-    while len(h) < len(g.vertices):
+    step, member, line_next, heap, stack = {}, [False] * len(g.vertices), {}, [], list(g.vertices)
+    sign, pairs, factors = -1 if reverse else 1, [AdmissiblePair(())], []
+    while len(step) < len(g.vertices):
         while stack:  # new line points (they only accrue), and breaking ones now ending a line
             u = stack.pop()
-            if u in h or exits[u] > 1 or u in line_next and (exits[u] or not line_next[u]):
+            if u in step or exits[u] > 1 or u in line_next and (exits[u] or not line_next[u]):
                 continue
             if exits[u]:  # via a line point r, unless r is breaking: emits, and is singular
-                ((mult, r),) = ((b.multiplicity, b.range) for b in out[u] if b.range not in h)
+                ((mult, r),) = ((b.multiplicity, b.range) for b in out[u] if b.range not in step)
                 if mult != 1 or r not in line_next or exits[r] and r in singular:
                     continue
             line_next[u] = r if exits[u] else None
             heappush(heap, sign * position[u])
             stack.extend(pred[u])
-        while g.vertices[sign * heap[0]] in h:
+        while g.vertices[sign * heap[0]] in step:
             heappop(heap)
         w = t = g.vertices[sign * heap[0]]
         while exits[t]:
             t = line_next[t]
         factors.append(CompositionFactor(g._path_counts[t], w))
-        joined = [t]
-        for x in joined:
-            h.add(x)
+        for x in (joined := [t]):
+            step[x], member[position[x]] = len(pairs), True
             for u in pred[x]:
                 exits[u] -= 1
                 stack.append(u)
                 if not exits[u] and u not in singular:
                     joined.append(u)
-        pairs.append(admissible_pair(g, h, ()))
+        pairs.append(AdmissiblePair(tuple(compress(g.vertices, member))))
+    _certify_chain(g, step)
     return CompositionSeries(tuple(pairs), tuple(factors))
+
+
+def _certify_chain(g: Graph, step: dict[str, int]) -> None:
+    """Check in O(n + m) what ``admissible_pair`` checks on each H_i = {v : step[v] <= i}.
+
+    All H_i are hereditary iff no bundle runs to a later step, and saturated iff each regular
+    vertex joins by its last successor's step; S = {} is always a set of breaking vertices.
+    """
+    for v, k in step.items():
+        if (last := max([0, *map(step.get, g._succ[v])])) > k or last < k and not is_singular(g, v):
+            raise InternalInvariantError(f"pair {min(k, last)} is not admissible at {v!r}")
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,25 @@ def test_missing_file_exit(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"\xff", "not UTF-8: invalid start byte at byte 0"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to decode"),
+    ],
+    ids=["not_utf8", "nested_100000_deep"],
+)
+def test_malformed_file_exit(capsys, tmp_path, data, reason):
+    # both were reported as internal faults: UnicodeDecodeError, RecursionError
+    p = tmp_path / "g.json"
+    p.write_bytes(data)
+    assert main(["analyze", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}:")
+    assert captured.err == f"error: {p}: {reason}\n"
+
+
 def test_file_and_fixture_conflict(capsys, tmp_path):
     p = tmp_path / "g.json"
     p.write_text(render_document(LINE3), encoding="utf-8")
@@ -531,6 +550,23 @@ def test_compseries_on_a_long_comb_in_output_sized_time(tmp_path, capsys):
     assert doc["length"] == k
     assert doc["pairs"] == [{"h": h, "s": []} for h in tails]
     assert doc["factors"] == [{"size": n, "line_point": v} for v, n in heads]
+
+
+def test_compseries_on_comb_2000_in_output_sized_time(tmp_path, capsys):
+    # certifying each pair through admissible_pair, O(n + m) a step, took
+    # 4.3 s here on a 2-core VM; the text itself is 27 MB
+    k = 2000
+    path = tmp_path / "comb.json"
+    path.write_text(render_document(comb(k)))
+    start = time.perf_counter()
+    assert main(["compseries", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"length: {k}" and len(lines) == 2 * k + 2
+    everything = ", ".join(f"{x}{j}" for x in "st" for j in range(k))
+    assert lines[k + 1] == f"pair {k}: H={{{everything}}} S={{}}"
+    assert lines[k + 2] == f"factor 1: size {k + 1} at s{k - 1}"
+    assert lines[-1] == f"factor {k}: size 2 at s0"
 
 
 def fork(k):

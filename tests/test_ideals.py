@@ -161,6 +161,16 @@ def test_quotient_gap_names_avoid_collisions():
     assert "w_v" in q.vertices
 
 
+def test_quotient_gap_sink_may_take_the_name_of_a_vertex_of_h():
+    # fresh gap names avoid only the surviving vertices, so the gap sink of
+    # v is named after the vertex w_v of H it stands in for
+    g = Graph(("v", "w_v", "x"), (Bundle("h", "v", "w_v", OMEGA), Bundle("f", "v", "x")))
+    q, origin = quotient_with_map(g, pair(g, {"w_v"}))
+    assert q.vertices == ("v", "x", "w_v")
+    assert q.bundles == (Bundle("f", "v", "x"),)
+    assert origin == {"v": ("real", "v"), "x": ("real", "x"), "w_v": ("gap", "v")}
+
+
 def test_quotient_shape_on_random_pairs(rng):
     from leavitt import breaking_vertices
 

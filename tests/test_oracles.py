@@ -103,6 +103,13 @@ its result or its refusal.  Criterion 8's growth oracle multiplied count
 matrices capped at 2 entry by entry; that version is kept here and
 compared with the bit rows on hypothesis graphs and on every 16th sweep
 graph.
+
+The composition series certified each of its pairs through the full
+``admissible_pair``.  That check is kept here and compared with the one
+pass over the step at which each vertex joins H, on labellings of
+hypothesis graphs (cycles and omega bundles included), admissible and
+not: both give the same verdict, and a refusal names a pair that
+``admissible_pair`` refuses and a vertex that breaks it.
 """
 
 import contextlib
@@ -141,6 +148,7 @@ from leavitt.boundary import (  # noqa: E402
     st_equivalent,
 )
 from leavitt import ideals  # noqa: E402
+from leavitt import naimark  # noqa: E402
 from leavitt.cli import _emit, _matrix_rows  # noqa: E402
 from leavitt.errors import (  # noqa: E402
     ContractError,
@@ -172,6 +180,7 @@ from leavitt.graph import (  # noqa: E402
     is_hereditary,
     is_omega,
     is_saturated,
+    is_singular,
     line_points,
     line_through,
     out_degree,
@@ -200,6 +209,7 @@ from leavitt.ideals import (  # noqa: E402
 from leavitt.naimark import (  # noqa: E402
     CompositionFactor,
     CompositionSeries,
+    _certify_chain,
     check_condition5,
     composition_series,
 )
@@ -1580,6 +1590,60 @@ def test_series_matches_quotient_per_step_on_the_acyclic_sweep():
 def test_series_matches_quotient_per_step_on_hypothesis_graphs(g):
     for reverse in (False, True):
         assert composition_series(g, reverse) == quotient_per_step_series(g, reverse)
+
+
+@st.composite
+def step_labellings(draw, g):
+    """A step for every vertex, drawn at random, or the steps of a chain of
+    saturated hereditary sets, ending at all vertices, with or without one
+    vertex moved by a step."""
+    kind = draw(st.sampled_from(("random", "chain", "moved")))
+    if kind == "random":
+        k = draw(st.integers(1, 4))
+        return {v: draw(st.integers(1, k)) for v in g.vertices}
+    step, h = {}, set()
+    heads = draw(st.lists(st.sampled_from(g.vertices), max_size=4))
+    for i, v in enumerate(heads, 1):
+        h = set(saturate(g, h.union(tree_of(g, v))))
+        for x in h:
+            step.setdefault(x, i)
+    for v in g.vertices:
+        step.setdefault(v, len(heads) + 1)
+    if kind == "moved":
+        v = draw(st.sampled_from(g.vertices))
+        step[v] = max(1, step[v] + draw(st.sampled_from((-1, 1))))
+    return step
+
+
+@SETTINGS
+@given(st.one_of(graphs(), acyclic_graphs(), acyclic_omega_graphs()), st.data())
+def test_chain_certificate_matches_admissible_pair_on_every_step(g, data):
+    step = data.draw(step_labellings(g))
+    chain = [{v for v in g.vertices if step[v] <= i} for i in range(max(step.values()) + 1)]
+    refused = set()
+    for i, h in enumerate(chain):
+        try:
+            admissible_pair(g, h, ())
+        except ContractError:
+            refused.add(i)
+    try:
+        _certify_chain(g, step)
+    except InternalInvariantError as exc:
+        i, v = re.fullmatch(r"pair (\d+) is not admissible at '(\w+)'", str(exc)).groups()
+        h, succ = chain[int(i)], set(g._succ[v])
+        assert int(i) in refused
+        assert v in h and not succ <= h or v not in h and not is_singular(g, v) and succ <= h
+    else:
+        assert not refused
+
+
+def test_certificate_rejects_a_regular_vertex_joining_late(monkeypatch):
+    # with every vertex taken for singular, v0 of v0 -> v1 does not join
+    # with v1 but becomes a line point of its own at the next step
+    monkeypatch.setattr(naimark, "singular_vertices", lambda g: g.vertices)
+    g = Graph(("v0", "v1"), (Bundle("e", "v0", "v1"),))
+    with pytest.raises(InternalInvariantError, match="pair 1 is not admissible at 'v0'"):
+        composition_series(g)
 
 
 @SETTINGS
