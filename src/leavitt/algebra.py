@@ -47,7 +47,6 @@ from .graph import (
     _postorder,
     _tails,
     breaking_vertices,
-    concat,
     count_paths_into,
     escaping_edges,
     has_cycle,
@@ -55,8 +54,6 @@ from .graph import (
     path_key,
     render_path,
     singular_vertices,
-    starts_with,
-    strip_prefix,
     vertex_path,
 )
 
@@ -69,11 +66,16 @@ class Monomial(NamedTuple):
 
 
 def monomial(g: Graph, alpha: Path, beta: Path) -> Monomial:
-    g.check_path(alpha)
-    g.check_path(beta)
-    if g.path_range(alpha) != g.path_range(beta):
+    m = Monomial(alpha, beta)
+    _check_monomial(g, m)
+    return m
+
+
+def _check_monomial(g: Graph, m: Monomial) -> None:
+    g.check_path(m.alpha)
+    g.check_path(m.beta)
+    if g.path_range(m.alpha) != g.path_range(m.beta):
         raise ContractError("monomial paths must share their range vertex")
-    return Monomial(alpha, beta)
 
 
 def monomial_key(m: Monomial) -> tuple:
@@ -100,17 +102,27 @@ class AlgebraElement:
 ZERO = AlgebraElement()
 
 
+def _normalized(pairs) -> AlgebraElement:
+    """Sum the coefficients of equal monomials, drop the zeros and sort once by ``monomial_key``.
+
+    Every operation builds its result here, from ``Fraction`` coefficients,
+    so a coefficient is only ever added to, never rebuilt.
+    """
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in pairs:
+        if m in acc:
+            acc[m] += c
+        else:
+            acc[m] = c
+    terms = [(m, c) for m, c in acc.items() if c]
+    terms.sort(key=lambda mc: monomial_key(mc[0]))
+    return AlgebraElement(tuple(terms))
+
+
 def element(pairs) -> AlgebraElement:
     """Normalize a {monomial: coefficient} mapping or pair iterable."""
-    acc: dict[Monomial, Fraction] = {}
     items = pairs.items() if isinstance(pairs, dict) else pairs
-    for m, c in items:
-        c = Fraction(c)
-        if c:
-            acc[m] = acc.get(m, Fraction(0)) + c
-    cleaned = [(m, c) for m, c in acc.items() if c]
-    cleaned.sort(key=lambda mc: monomial_key(mc[0]))
-    return AlgebraElement(tuple(cleaned))
+    return _normalized((m, c if isinstance(c, Fraction) else Fraction(c)) for m, c in items)
 
 
 def vertex_projection(g: Graph, v: str) -> AlgebraElement:
@@ -139,15 +151,12 @@ def one(g: Graph) -> AlgebraElement:
 
 
 def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    acc = dict(x.terms)
-    for m, c in y.terms:
-        acc[m] = acc.get(m, Fraction(0)) + c
-    return element(acc)
+    return _normalized((*dict(x.terms).items(), *y.terms))
 
 
 def scale(q, x: AlgebraElement) -> AlgebraElement:
     q = Fraction(q)
-    return element([(m, q * c) for m, c in x.terms])
+    return _normalized((m, q * c) for m, c in x.terms)
 
 
 def subtract(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -155,28 +164,39 @@ def subtract(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def star(x: AlgebraElement) -> AlgebraElement:
-    return element([(Monomial(m.beta, m.alpha), c) for m, c in x.terms])
+    return _normalized((Monomial(m.beta, m.alpha), c) for m, c in x.terms)
 
 
 def multiply_monomials(g: Graph, a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two basic monomials; None encodes zero."""
-    if starts_with(g, b.alpha, a.beta):
-        rest = strip_prefix(g, b.alpha, a.beta)
-        return Monomial(concat(a.alpha, rest), b.beta)
-    if starts_with(g, a.beta, b.alpha):
-        rest = strip_prefix(g, a.beta, b.alpha)
-        return Monomial(a.alpha, concat(b.beta, rest))
-    return None
+    """Product of two basic monomials; None encodes zero.
+
+    (s_alpha s_beta*)(s_gamma s_delta*) is nonzero iff one of beta and
+    gamma is a prefix of the other; a vertex path is a prefix of the
+    paths it sources.
+    """
+    alpha, beta = a
+    gamma, delta = b
+    be, ge = beta.edges, gamma.edges
+    n, k = len(be), len(ge)
+    if n <= k:
+        # beta prefixes gamma = beta rest: s_(alpha rest) s_delta*
+        if (ge[:n] != be) if n else (g.path_source(gamma) != beta.vertex):
+            return None
+        return Monomial(Path(edges=alpha.edges + ge[n:]) if k > n else alpha, delta)
+    # gamma prefixes beta = gamma rest: s_alpha s_(delta rest)*
+    if (be[:k] != ge) if k else (g.source_of(be[0]) != gamma.vertex):
+        return None
+    return Monomial(alpha, Path(edges=delta.edges + be[k:]))
 
 
 def multiply(g: Graph, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    acc: dict[Monomial, Fraction] = {}
+    products = []
     for ma, ca in x.terms:
         for mb, cb in y.terms:
             m = multiply_monomials(g, ma, mb)
             if m is not None:
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
-    return element(acc)
+                products.append((m, ca * cb))
+    return _normalized(products)
 
 
 def degree_components(x: AlgebraElement) -> dict[int, AlgebraElement]:
@@ -195,10 +215,11 @@ def gap_projection(g: Graph, h, v: str) -> AlgebraElement:
     """
     if v not in breaking_vertices(g, h):
         raise ContractError(f"{v!r} is not a breaking vertex of the given set")
-    terms = {Monomial(g.vertex_path(v), g.vertex_path(v)): Fraction(1)}
+    p = g.vertex_path(v)
+    terms = [(Monomial(p, p), 1)]
     for ref in escaping_edges(g, h, v):
         p = Path(edges=(ref,))
-        terms[Monomial(p, p)] = terms.get(Monomial(p, p), Fraction(0)) - 1
+        terms.append((Monomial(p, p), -1))
     return element(terms)
 
 
@@ -221,15 +242,17 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     supported (otherwise the rewriting does not terminate).
     """
     _require_acyclic_finite(g, "normal form")
+    for m, _ in x.terms:
+        _check_monomial(g, m)
+    ranges = [g.path_range(m.alpha) for m, _ in x.terms]
     # children first over the descendants of the ranges: each after the ranges of its bundles
-    order = _postorder(g._succ, (g.path_range(m.alpha) for m, _ in x.terms))
-    tails = _tails(g, order, singular_vertices(g), {})[0]
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in x.terms:
-        for e in (e for edges, _ in tails[g.path_range(m.alpha)] for e in edges):
-            mm = Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m
-            acc[mm] = acc.get(mm, Fraction(0)) + c
-    return element(acc)
+    tails = _tails(g, _postorder(g._succ, ranges), singular_vertices(g), {})[0]
+    return _normalized(
+        (Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m, c)
+        for (m, c), v in zip(x.terms, ranges)
+        for edges, _ in tails[v]
+        for e in edges
+    )
 
 
 def equals(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
@@ -339,7 +362,7 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
         tokens = tokens[1:]
     if len(tokens) % 2 == 0:
         raise ContractError(f"cannot parse element {text!r}")
-    acc: dict[Monomial, Fraction] = {}
+    terms = []
     pending = sign
     for i, tok in enumerate(tokens):
         if i % 2 == 1:
@@ -362,5 +385,5 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
             alpha = parse_path(g, mm.group(2))
             beta = parse_path(g, mm.group(3))
             mono = monomial(g, alpha, beta)
-        acc[mono] = acc.get(mono, Fraction(0)) + coef
-    return element(acc)
+        terms.append((mono, coef))
+    return element(terms)

@@ -123,13 +123,6 @@ def concat(p: Path, q: Path) -> Path:
     return Path(edges=p.edges + q.edges)
 
 
-def starts_with(g: "Graph", p: Path, q: Path) -> bool:
-    """True iff ``q`` is a prefix of ``p`` (a vertex path prefixes anything it sources)."""
-    if q.length == 0:
-        return g.path_source(p) == q.vertex
-    return p.edges[: q.length] == q.edges
-
-
 def strip_prefix(g: "Graph", p: Path, q: Path) -> Path:
     """The remainder of ``p`` after its prefix ``q``."""
     if p.length == q.length:

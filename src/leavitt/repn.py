@@ -21,6 +21,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     Monomial,
+    _check_monomial,
     _require_acyclic_finite,
     dimension,
 )
@@ -188,22 +189,33 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
 
     s_alpha s_beta* sends each basis path beta r to alpha r and kills the
     others.  The paths r are the basis paths starting at the range of
-    beta, the domain of its vertex projection, so each term visits only
-    those instead of testing every basis path for the prefix beta.
+    beta, the domain of its vertex projection.  Their positions go
+    through the partial maps s_e of beta's edges, last edge first, to the
+    positions of beta r, and through those of alpha's edges to alpha r,
+    so a term costs O((|alpha| + |beta|) |domain|) and builds no path.
     """
     g = R.graph
-    basis, index = R.basis, R.index
-    n = len(basis)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    maps = R._maps
+    edge_maps: dict[EdgeRef, PartialMap] = {}
+
+    def through(path: Path, positions: list[int]) -> list[int]:
+        for ref in reversed(path.edges):
+            s = edge_maps.get(ref)
+            if s is None:
+                s = edge_maps[ref] = maps[f"s_{render_edge_ref(g, ref)}"]
+            positions = [s[i] for i in positions]
+        return positions
+
+    zero = Fraction(0)
+    n = len(R.basis)
+    rows = [[zero] * n for _ in range(n)]
     for m, c in x.terms:
-        g.check_path(m.alpha)
-        g.check_path(m.beta)
-        for j in R._maps[f"p_{g.path_range(m.beta)}"]:
-            rest = basis[j]
-            i = index.get(concat(m.alpha, rest))
-            if i is not None:
-                rows[i][index[concat(m.beta, rest)]] += c
-    return tuple(tuple(r) for r in rows)
+        _check_monomial(g, m)
+        domain = list(maps[f"p_{g.path_range(m.beta)}"])
+        for i, j in zip(through(m.alpha, domain), through(m.beta, domain)):
+            row = rows[i]
+            row[j] = c if row[j] is zero else row[j] + c
+    return tuple(map(tuple, rows))
 
 
 def decompose_blocks(R: BoundaryRepresentation) -> tuple[tuple[tuple[Path, ...], int], ...]:
@@ -282,7 +294,11 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
     constraints come from the generators acting on a or b, and from the
     columns j in the domain of f (all rows i) and the rows i in the image
     of h (the remaining columns): O(sum |f| n_b + sum |h| n_a) unions
-    instead of O(|generators| n_a n_b).
+    instead of O(|generators| n_a n_b).  Each map is read where its
+    domain meets the two blocks, over its domain or over the blocks'
+    positions, whichever is shorter: O(min(|map|, n_a + n_b)) per
+    generator, where a vertex projection near the roots of a deep tree
+    covers far more of the basis than one sink's block.
     """
     A = R.classes[a]
     B = R.classes[b]
@@ -301,14 +317,18 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
 
     for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
         m = R._maps[label]
+        # the map where its domain meets the blocks, read over the shorter of the two
+        cut = m.items() if len(m) <= na + nb else [(gj, m[gj]) for gj in (*A, *B) if gj in m]
         f = {}
         h_inv = {}
-        for gj, gi in m.items():
+        for gj, gi in cut:
             if gj in pos_a:
                 if gi not in pos_a:
                     raise InternalInvariantError("generator leaves a block")
                 f[pos_a[gj]] = pos_a[gi]
             if gj in pos_b:
+                if gi not in pos_b:
+                    raise InternalInvariantError("generator leaves a block")
                 h_inv[pos_b[gi]] = pos_b[gj]
         for j, fj in f.items():
             for i in range(nb):

@@ -46,7 +46,6 @@ from leavitt.graph import (
     line_through,
     out_degree,
     path_key,
-    starts_with,
     strip_prefix,
 )
 
@@ -194,9 +193,6 @@ def test_path_helpers():
     assert pq.edges == LINE3.path("e", "f").edges
     assert concat(LINE3.vertex_path("u"), p) == p
     assert concat(p, LINE3.vertex_path("v")) == p
-    assert starts_with(LINE3, pq, p)
-    assert starts_with(LINE3, pq, LINE3.vertex_path("u"))
-    assert not starts_with(LINE3, pq, q)
     assert strip_prefix(LINE3, pq, p) == q
     assert strip_prefix(LINE3, pq, pq) == LINE3.vertex_path("w")
     assert path_key(LINE3.vertex_path("u")) < path_key(p) < path_key(pq)

@@ -110,6 +110,17 @@ pass over the step at which each vertex joins H, on labellings of
 hypothesis graphs (cycles and omega bundles included), admissible and
 not: both give the same verdict, and a refusal names a pair that
 ``admissible_pair`` refuses and a vertex that breaks it.
+
+Element arithmetic normalised every result per call: each coefficient
+went through ``Fraction`` and was added to ``Fraction(0)``, and products
+and normal forms were normalised twice.  Monomial products went through
+``starts_with``, ``strip_prefix`` and ``concat``; ``evaluate`` looked up
+the concatenations alpha r and beta r in the basis index; and
+``hom_space_dim`` read each acting generator over its whole domain.
+All four are kept here and compared, term order and ``Fraction``
+coefficients included, with the one normalising pass, the edge-tuple
+product, the partial-map evaluation and the block-position reads on
+hypothesis acyclic graphs with parallel edges.
 """
 
 import contextlib
@@ -132,13 +143,18 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from leavitt.algebra import (  # noqa: E402
+    AlgebraElement,
     Monomial,
+    add,
     dimension,
     element,
     monomial_key,
+    multiply,
     multiply_monomials,
     normal_form,
     parse_path,
+    scale,
+    star,
 )
 from leavitt.boundary import (  # noqa: E402
     BoundaryPath,
@@ -191,7 +207,6 @@ from leavitt.graph import (  # noqa: E402
     saturation_stages,
     simple_cycles,
     singular_vertices,
-    starts_with,
     strip_prefix,
     strongly_connected_components,
     tree_of,
@@ -995,6 +1010,43 @@ def dense_hom_space_dim(R, a, b):
     return len(roots)
 
 
+def full_scan_hom_space_dim(R, a, b):
+    """The union-find over the acting generators, reading each map over its whole domain."""
+    A, B = R.classes[a], R.classes[b]
+    pos_a = {gi: j for j, gi in enumerate(A)}
+    pos_b = {gi: i for i, gi in enumerate(B)}
+    na, nb = len(A), len(B)
+    size = na * nb
+    parent = list(range(size))
+    forced_zero = bytearray(size)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
+        f, h_inv = {}, {}
+        for gj, gi in R.generator_map(label).items():
+            if gj in pos_a:
+                f[pos_a[gj]] = pos_a[gi]
+            if gj in pos_b:
+                h_inv[pos_b[gi]] = pos_b[gj]
+        for j, fj in f.items():
+            for i in range(nb):
+                hi = h_inv.get(i)
+                if hi is None:
+                    forced_zero[i * na + fj] = 1
+                else:
+                    parent[find(i * na + fj)] = find(hi * na + j)
+        for hi in h_inv.values():
+            for j in range(na):
+                if j not in f:
+                    forced_zero[hi * na + j] = 1
+    roots = {find(e) for e in range(size)}
+    return len(roots - {find(e) for e in range(size) if forced_zero[e]})
+
+
 def sympy_hom_space_dim(R, a, b):
     """n_a n_b minus the rank of T rho_a(x) = rho_b(x) T over every generator.
 
@@ -1036,9 +1088,44 @@ def test_representation_checks_match_exhaustive_loops_and_sympy(g):
     for a in range(k):
         for b in range(k):
             d = hom_space_dim(R, a, b)
-            assert d == dense_hom_space_dim(R, a, b) == (1 if a == b else 0)
+            assert d == full_scan_hom_space_dim(R, a, b) == dense_hom_space_dim(R, a, b)
+            assert d == (1 if a == b else 0)
             if len(R.classes[a]) * len(R.classes[b]) <= 64:
                 assert d == sympy_hom_space_dim(R, a, b)
+
+
+@st.composite
+def trees(draw):
+    """Each vertex after the first hangs from an earlier one: many sinks, small blocks."""
+    n = draw(st.integers(2, 12))
+    vs = tuple(f"v{i}" for i in range(n))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    mult = st.sampled_from((1, 2))
+    return Graph(vs, tuple(Bundle(f"e{i}", vs[p], vs[i + 1], draw(mult)) for i, p in enumerate(parents)))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(acyclic_graphs(), trees()), st.data())
+def test_hom_space_dim_matches_full_scan_on_permuted_maps(g, data):
+    """Dimensions away from delta: some maps send their domain elsewhere inside each block, still one to one."""
+    R = build_rho(g)
+    for label in data.draw(st.lists(st.sampled_from(R.generator_labels()), max_size=4)):
+        m = R._maps[label]
+        for c, block in enumerate(R.classes):
+            domain = [j for j in m if R.class_of[j] == c]
+            m.update(zip(domain, data.draw(st.permutations(block))))
+    k = len(R.classes)
+    for a in range(k):
+        for b in range(k):
+            d = hom_space_dim(R, a, b)
+            assert d == full_scan_hom_space_dim(R, a, b) == dense_hom_space_dim(R, a, b)
+
+
+def starts_with(g, p, q):
+    """True iff ``q`` is a prefix of ``p`` (a vertex path prefixes anything it sources)."""
+    if q.length == 0:
+        return g.path_source(p) == q.vertex
+    return p.edges[: q.length] == q.edges
 
 
 def scanning_evaluate(R, x):
@@ -1056,6 +1143,20 @@ def scanning_evaluate(R, x):
     return tuple(tuple(r) for r in rows)
 
 
+def index_evaluate(R, x):
+    """Dense matrix of x, looking up the concatenations alpha r and beta r in ``R.index``."""
+    g = R.graph
+    n = len(R.basis)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for m, c in x.terms:
+        for j in R.vertex_map(g.path_range(m.beta)):
+            rest = R.basis[j]
+            i = R.index.get(concat(m.alpha, rest))
+            if i is not None:
+                rows[i][R.index[concat(m.beta, rest)]] += c
+    return tuple(tuple(r) for r in rows)
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(acyclic_graphs(), st.data())
 def test_evaluate_matches_basis_scan(g, data):
@@ -1069,7 +1170,9 @@ def test_evaluate_matches_basis_scan(g, data):
         c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
         terms.append((Monomial(alpha, beta), c))
     x = element(terms)
-    assert evaluate(R, x) == scanning_evaluate(R, x)
+    matrix = evaluate(R, x)
+    assert matrix == scanning_evaluate(R, x) == index_evaluate(R, x)
+    assert all(type(c) is Fraction for row in matrix for c in row)
 
 
 def per_range_normal_form(g, x):
@@ -1099,7 +1202,7 @@ def per_range_normal_form(g, x):
         for ext in cache[v]:
             mm = Monomial(concat(m.alpha, ext), concat(m.beta, ext))
             acc[mm] = acc.get(mm, Fraction(0)) + c
-    return element(acc)
+    return reference_element(acc.items())
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -1120,6 +1223,114 @@ def test_normal_form_matches_per_range_expansion(g, data):
         terms.append((Monomial(alpha, beta), c))
     x = element(terms)
     assert normal_form(g, x) == per_range_normal_form(g, x)
+
+
+# -- element arithmetic: prefix products and per-call normalising -------------------
+
+
+def prefix_multiply_monomials(g, a, b):
+    """The monomial product through ``starts_with``, ``strip_prefix`` and ``concat``."""
+    if starts_with(g, b.alpha, a.beta):
+        rest = strip_prefix(g, b.alpha, a.beta)
+        return Monomial(concat(a.alpha, rest), b.beta)
+    if starts_with(g, a.beta, b.alpha):
+        rest = strip_prefix(g, a.beta, b.alpha)
+        return Monomial(a.alpha, concat(b.beta, rest))
+    return None
+
+
+def reference_element(pairs):
+    """Coerce every coefficient, add it to ``Fraction(0)``, drop zeros and sort by ``monomial_key``."""
+    acc = {}
+    for m, c in pairs:
+        c = Fraction(c)
+        if c:
+            acc[m] = acc.get(m, Fraction(0)) + c
+    cleaned = [(m, c) for m, c in acc.items() if c]
+    cleaned.sort(key=lambda mc: monomial_key(mc[0]))
+    return AlgebraElement(tuple(cleaned))
+
+
+def reference_add(x, y):
+    acc = dict(x.terms)
+    for m, c in y.terms:
+        acc[m] = acc.get(m, Fraction(0)) + c
+    return reference_element(acc.items())
+
+
+def reference_multiply(g, x, y):
+    acc = {}
+    for ma, ca in x.terms:
+        for mb, cb in y.terms:
+            m = prefix_multiply_monomials(g, ma, mb)
+            if m is not None:
+                acc[m] = acc.get(m, Fraction(0)) + ca * cb
+    return reference_element(acc.items())
+
+
+def assert_same_element(x, y):
+    """Equal terms in the same order, every coefficient a nonzero ``Fraction``."""
+    assert x == y
+    assert all(type(c) is Fraction and c for _, c in x.terms)
+
+
+def monomial_pool(g):
+    """Every (alpha, beta) with a common range, vertex paths included."""
+    by_range = {v: paths_into(g, v) for v in g.vertices}
+    return [Monomial(a, b) for ps in by_range.values() for a in ps for b in ps]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(acyclic_graphs(), st.data())
+def test_monomial_products_match_prefix_form(g, data):
+    # every vertex projection, and drawn monomials
+    picks = [Monomial(vertex_path(v), vertex_path(v)) for v in g.vertices]
+    picks += data.draw(st.lists(st.sampled_from(monomial_pool(g)), max_size=20))
+    zero = 0
+    for a in picks:
+        for b in picks:
+            m = multiply_monomials(g, a, b)
+            assert m == prefix_multiply_monomials(g, a, b)
+            zero += m is None
+    # non-composable pairs occur whenever there are two vertices
+    assert zero or len(g.vertices) == 1
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(acyclic_graphs(), st.data())
+def test_element_arithmetic_matches_per_call_normalising(g, data):
+    pool = monomial_pool(g)
+
+    def pairs():
+        out = []
+        for m, c in data.draw(st.lists(st.tuples(st.sampled_from(pool), coefficients), max_size=6)):
+            out.append((m, c))
+            if data.draw(st.booleans()):
+                out.append((m, -Fraction(c)))  # cancels to zero
+        return out
+
+    xs, ys = pairs(), pairs()
+    x, y = element(xs), element(ys)
+    assert_same_element(x, reference_element(xs))
+    assert_same_element(y, reference_element(ys))
+    assert_same_element(element(dict(xs)), reference_element(dict(xs).items()))
+    assert_same_element(add(x, y), reference_add(x, y))
+    q = data.draw(coefficients)
+    assert_same_element(scale(q, x), reference_element((m, Fraction(q) * c) for m, c in x.terms))
+    assert_same_element(star(x), reference_element((Monomial(m.beta, m.alpha), c) for m, c in x.terms))
+    assert_same_element(multiply(g, x, y), reference_multiply(g, x, y))
+    # built directly: unsorted, with repeated monomials and zero coefficients
+    raw = AlgebraElement(tuple((m, Fraction(c)) for m, c in xs + xs[:2]))
+    assert_same_element(star(raw), reference_element((Monomial(m.beta, m.alpha), c) for m, c in raw.terms))
+    assert_same_element(multiply(g, raw, y), reference_multiply(g, raw, y))
+    assert_same_element(normal_form(g, raw), per_range_normal_form(g, raw))
 
 
 def test_relation_checks_reject_overlapping_images():
