@@ -105,11 +105,14 @@ ZERO = AlgebraElement()
 def _normalized(pairs) -> AlgebraElement:
     """Sum the coefficients of equal monomials, drop the zeros and sort once by ``monomial_key``.
 
-    Every operation builds its result here, from ``Fraction`` coefficients,
-    so a coefficient is only ever added to, never rebuilt.
+    Every operation builds its result here.  A coefficient that is not a
+    ``Fraction`` is converted first; the others are only ever added to,
+    never rebuilt.
     """
     acc: dict[Monomial, Fraction] = {}
     for m, c in pairs:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if m in acc:
             acc[m] += c
         else:
@@ -121,8 +124,7 @@ def _normalized(pairs) -> AlgebraElement:
 
 def element(pairs) -> AlgebraElement:
     """Normalize a {monomial: coefficient} mapping or pair iterable."""
-    items = pairs.items() if isinstance(pairs, dict) else pairs
-    return _normalized((m, c if isinstance(c, Fraction) else Fraction(c)) for m, c in items)
+    return _normalized(pairs.items() if isinstance(pairs, dict) else pairs)
 
 
 def vertex_projection(g: Graph, v: str) -> AlgebraElement:

@@ -196,13 +196,10 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
     """
     g = R.graph
     maps = R._maps
-    edge_maps: dict[EdgeRef, PartialMap] = {}
 
     def through(path: Path, positions: list[int]) -> list[int]:
         for ref in reversed(path.edges):
-            s = edge_maps.get(ref)
-            if s is None:
-                s = edge_maps[ref] = maps[f"s_{render_edge_ref(g, ref)}"]
+            s = maps[f"s_{render_edge_ref(g, ref)}"]
             positions = [s[i] for i in positions]
         return positions
 
@@ -211,9 +208,12 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
     rows = [[zero] * n for _ in range(n)]
     for m, c in x.terms:
         _check_monomial(g, m)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         domain = list(maps[f"p_{g.path_range(m.beta)}"])
         for i, j in zip(through(m.alpha, domain), through(m.beta, domain)):
             row = rows[i]
+            # an entry still holding the shared zero takes c without an addition
             row[j] = c if row[j] is zero else row[j] + c
     return tuple(map(tuple, rows))
 
@@ -294,11 +294,7 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
     constraints come from the generators acting on a or b, and from the
     columns j in the domain of f (all rows i) and the rows i in the image
     of h (the remaining columns): O(sum |f| n_b + sum |h| n_a) unions
-    instead of O(|generators| n_a n_b).  Each map is read where its
-    domain meets the two blocks, over its domain or over the blocks'
-    positions, whichever is shorter: O(min(|map|, n_a + n_b)) per
-    generator, where a vertex projection near the roots of a deep tree
-    covers far more of the basis than one sink's block.
+    instead of O(|generators| n_a n_b).
     """
     A = R.classes[a]
     B = R.classes[b]
@@ -317,11 +313,9 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
 
     for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
         m = R._maps[label]
-        # the map where its domain meets the blocks, read over the shorter of the two
-        cut = m.items() if len(m) <= na + nb else [(gj, m[gj]) for gj in (*A, *B) if gj in m]
         f = {}
         h_inv = {}
-        for gj, gi in cut:
+        for gj, gi in m.items():
             if gj in pos_a:
                 if gi not in pos_a:
                     raise InternalInvariantError("generator leaves a block")
