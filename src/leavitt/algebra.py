@@ -71,11 +71,12 @@ def monomial(g: Graph, alpha: Path, beta: Path) -> Monomial:
     return m
 
 
-def _check_monomial(g: Graph, m: Monomial) -> None:
-    g.check_path(m.alpha)
-    g.check_path(m.beta)
-    if g.path_range(m.alpha) != g.path_range(m.beta):
+def _check_monomial(g: Graph, m: Monomial) -> str:
+    """Check both paths of ``m`` as ``check_path`` does; return their shared range."""
+    v = g._checked_range(m.alpha)
+    if g._checked_range(m.beta) != v:
         raise ContractError("monomial paths must share their range vertex")
+    return v
 
 
 def monomial_key(m: Monomial) -> tuple:
@@ -244,9 +245,7 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     supported (otherwise the rewriting does not terminate).
     """
     _require_acyclic_finite(g, "normal form")
-    for m, _ in x.terms:
-        _check_monomial(g, m)
-    ranges = [g.path_range(m.alpha) for m, _ in x.terms]
+    ranges = [_check_monomial(g, m) for m, _ in x.terms]
     # children first over the descendants of the ranges: each after the ranges of its bundles
     tails = _tails(g, _postorder(g._succ, ranges), singular_vertices(g), {})[0]
     return _normalized(

@@ -66,9 +66,8 @@ def boundary_path(g: Graph, prefix: Path, cycle=None) -> BoundaryPath:
     is shortened while its last edge coincides with the cycle's last edge
     (rotating the cycle to keep the denoted infinite path fixed).
     """
-    g.check_path(prefix)
+    end = g._checked_range(prefix)
     if cycle is None:
-        end = g.path_range(prefix)
         if not is_singular(g, end):
             raise ContractError(
                 f"finite boundary paths must end at a singular vertex, not {end!r}"
@@ -78,10 +77,9 @@ def boundary_path(g: Graph, prefix: Path, cycle=None) -> BoundaryPath:
     if not cycle:
         raise ContractError("a cycle must contain at least one edge")
     as_path = Path(edges=cycle)
-    g.check_path(as_path)
-    if g.path_source(as_path) != g.path_range(as_path):
+    if g._checked_range(as_path) != (start := g.path_source(as_path)):
         raise ContractError("cycle does not close up")
-    if g.path_source(as_path) != g.path_range(prefix):
+    if start != end:
         raise ContractError("cycle must start where the prefix ends")
     cycle = _primitive_root(cycle)
     edges = prefix.edges

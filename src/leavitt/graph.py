@@ -263,14 +263,22 @@ class Graph:
     # -- edges and paths -------------------------------------------------
 
     def check_edge(self, ref: EdgeRef) -> None:
-        b = self.bundle(ref.bundle)
+        self._checked_bundle(ref)
+
+    def _checked_bundle(self, ref: EdgeRef) -> Bundle:
+        """The bundle of ``ref``, after checking that it names one of its edges."""
+        try:
+            b = self.bundles[self._bundle_at[ref.bundle]]
+        except (KeyError, TypeError):
+            raise UnknownNameError(f"unknown bundle {ref.bundle!r}") from None
         if ref.index < 0:
             raise ContractError(f"edge index must be nonnegative: {ref}")
-        if not is_omega(b.multiplicity) and ref.index >= b.multiplicity:
+        if b.multiplicity is not OMEGA and ref.index >= b.multiplicity:
             raise ContractError(
                 f"edge index {ref.index} out of range for bundle {b.name!r} "
                 f"of multiplicity {b.multiplicity}"
             )
+        return b
 
     def source_of(self, ref: EdgeRef) -> str:
         return self.bundle(ref.bundle).source
@@ -305,17 +313,27 @@ class Graph:
         return p
 
     def check_path(self, p: Path) -> None:
-        if p.length == 0:
+        """Check that ``p`` is a path of this graph.
+
+        A vertex path must name a vertex.  Otherwise every edge is checked
+        first, in order, as ``check_edge`` does; then each consecutive pair
+        must compose.  Each edge's bundle is looked up once.
+        """
+        self._checked_range(p)
+
+    def _checked_range(self, p: Path) -> str:
+        """``check_path``, returning the range vertex of ``p``."""
+        if not p.edges:
             self.vertex_index(p.vertex)
-            return
-        for ref in p.edges:
-            self.check_edge(ref)
-        for a, b in zip(p.edges, p.edges[1:]):
-            if self.range_of(a) != self.source_of(b):
+            return p.vertex
+        kept = [self._checked_bundle(ref) for ref in p.edges]
+        for i in range(1, len(kept)):
+            if kept[i - 1].range != kept[i].source:
                 raise ContractError(
-                    f"edges {a} and {b} do not compose: "
-                    f"{self.range_of(a)!r} != {self.source_of(b)!r}"
+                    f"edges {p.edges[i - 1]} and {p.edges[i]} do not compose: "
+                    f"{kept[i - 1].range!r} != {kept[i].source!r}"
                 )
+        return kept[-1].range
 
     def path_source(self, p: Path) -> str:
         return p.vertex if p.length == 0 else self.source_of(p.edges[0])

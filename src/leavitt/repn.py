@@ -74,6 +74,8 @@ class BoundaryRepresentation:
             for i in block:
                 self.class_of[i] = c
         self._maps: dict[str, PartialMap] = {}
+        # the maps s_e and s_e* of each edge, the same dicts as under their labels
+        self._edge_maps: dict[EdgeRef, tuple[PartialMap, PartialMap]] = {}
         for v in g.vertices:
             self._maps[f"p_{v}"] = {i: i for i in by_source[v]}
         for ref in g.edge_refs():
@@ -82,9 +84,11 @@ class BoundaryRepresentation:
                 i: index[Path(edges=head + basis[i].edges)]
                 for i in by_source[g.range_of(ref)]
             }
+            back = {j: i for i, j in fwd.items()}
             name = render_edge_ref(g, ref)
             self._maps[f"s_{name}"] = fwd
-            self._maps[f"s_{name}*"] = {j: i for i, j in fwd.items()}
+            self._maps[f"s_{name}*"] = back
+            self._edge_maps[ref] = (fwd, back)
         acting: list[list[str]] = [[] for _ in self.classes]
         for label, m in self._maps.items():
             for c in sorted({self.class_of[i] for i in m}):
@@ -105,10 +109,12 @@ class BoundaryRepresentation:
         return dict(self._maps[f"p_{v}"])
 
     def edge_map(self, ref: EdgeRef) -> PartialMap:
-        return dict(self._maps[f"s_{render_edge_ref(self.graph, ref)}"])
+        self.graph.check_edge(ref)
+        return dict(self._edge_maps[ref][0])
 
     def edge_star_map(self, ref: EdgeRef) -> PartialMap:
-        return dict(self._maps[f"s_{render_edge_ref(self.graph, ref)}*"])
+        self.graph.check_edge(ref)
+        return dict(self._edge_maps[ref][1])
 
     def matrix(self, label: str) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of a generator: entry [image, argument] is 1."""
@@ -146,24 +152,28 @@ def verify_relations(R: BoundaryRepresentation) -> None:
     """
     g = R.graph
     maps = R._maps
+    edge_maps = R._edge_maps
     owner: dict[int, EdgeRef] = {}
-    for ref in g.edge_refs():
-        name = render_edge_ref(g, ref)
-        e = maps[f"s_{name}"]
-        estar = maps[f"s_{name}*"]
-        ps = maps[f"p_{g.source_of(ref)}"]
-        pr = maps[f"p_{g.range_of(ref)}"]
+    for ref, (e, estar) in edge_maps.items():
+        b = g.bundle(ref.bundle)
+        ps = maps[f"p_{b.source}"]
+        pr = maps[f"p_{b.range}"]
         if _compose(ps, e) != e or _compose(e, pr) != e:
+            name = render_edge_ref(g, ref)
             raise InternalInvariantError(f"relation p s = s = s p fails for {name}")
         if _compose(pr, estar) != estar or _compose(estar, ps) != estar:
+            name = render_edge_ref(g, ref)
             raise InternalInvariantError(f"relation p s* = s* = s* p fails for {name}")
         if estar != {i: j for j, i in e.items()}:
+            name = render_edge_ref(g, ref)
             raise InternalInvariantError(f"s_{name}* is not the inverse of s_{name}")
         if _compose(estar, e) != pr:
+            name = render_edge_ref(g, ref)
             raise InternalInvariantError(f"relation s*{name} s{name} fails")
         for i in e.values():
             first = owner.setdefault(i, ref)
             if first != ref:
+                name = render_edge_ref(g, ref)
                 raise InternalInvariantError(
                     f"relation s*{render_edge_ref(g, first)} s{name} fails"
                 )
@@ -174,8 +184,8 @@ def verify_relations(R: BoundaryRepresentation) -> None:
         union: PartialMap = {}
         for b in out:
             for i in range(b.multiplicity):
-                name = render_edge_ref(g, EdgeRef(b.name, i))
-                piece = _compose(maps[f"s_{name}"], maps[f"s_{name}*"])
+                e, estar = edge_maps[EdgeRef(b.name, i)]
+                piece = _compose(e, estar)
                 for j, i2 in piece.items():
                     if j != i2 or j in union:
                         raise InternalInvariantError(f"summands at {v!r} overlap")
@@ -193,13 +203,16 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
     through the partial maps s_e of beta's edges, last edge first, to the
     positions of beta r, and through those of alpha's edges to alpha r,
     so a term costs O((|alpha| + |beta|) |domain|) and builds no path.
+    Each monomial is checked once, which also gives its range, and each
+    edge's map is read from the representation's table by its ``EdgeRef``.
     """
     g = R.graph
     maps = R._maps
+    edge_maps = R._edge_maps
 
     def through(path: Path, positions: list[int]) -> list[int]:
         for ref in reversed(path.edges):
-            s = maps[f"s_{render_edge_ref(g, ref)}"]
+            s = edge_maps[ref][0]
             positions = [s[i] for i in positions]
         return positions
 
@@ -207,10 +220,10 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
     n = len(R.basis)
     rows = [[zero] * n for _ in range(n)]
     for m, c in x.terms:
-        _check_monomial(g, m)
+        v = _check_monomial(g, m)
         if not isinstance(c, Fraction):
             c = Fraction(c)
-        domain = list(maps[f"p_{g.path_range(m.beta)}"])
+        domain = list(maps[f"p_{v}"])
         for i, j in zip(through(m.alpha, domain), through(m.beta, domain)):
             row = rows[i]
             # an entry still holding the shared zero takes c without an addition

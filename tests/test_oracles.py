@@ -119,6 +119,14 @@ the concatenations alpha r and beta r in the basis index.  All three
 are kept here and compared, term order and ``Fraction`` coefficients
 included, with the one normalising pass, the edge-tuple product and the
 partial-map evaluation on hypothesis acyclic graphs with parallel edges.
+
+``check_path`` looked each edge's bundle up three times: in
+``check_edge``, then in ``range_of`` and ``source_of`` for each
+consecutive pair.  That check is kept here and compared, exception type,
+message and range, with the one lookup per edge on hypothesis paths over
+multiplicities 1, 2 and omega, valid and broken in each way it refuses.
+The representation's edge maps were found by their rendered labels; the
+table keyed by ``EdgeRef`` is compared with those labelled maps.
 """
 
 import contextlib
@@ -169,6 +177,7 @@ from leavitt.errors import (  # noqa: E402
     GraphError,
     InternalInvariantError,
     NotFinitelyPresentableError,
+    UnknownNameError,
 )
 from leavitt.graph import (  # noqa: E402
     OMEGA,
@@ -200,6 +209,7 @@ from leavitt.graph import (  # noqa: E402
     out_degree,
     path_key,
     paths_into,
+    render_edge_ref,
     render_path,
     saturate,
     saturation_stages,
@@ -1308,8 +1318,11 @@ def test_relation_checks_reject_overlapping_images():
     # s_h#1 made equal to s_h#0: every relation but s_h#0* s_h#1 = 0 holds
     g = Graph(("x", "w"), (Bundle("h", "x", "w", 2),))
     R = build_rho(g)
-    R._maps["s_h#1"] = dict(R._maps["s_h#0"])
-    R._maps["s_h#1*"] = dict(R._maps["s_h#0*"])
+    # in place: the representation's edge table shares these dicts
+    R._maps["s_h#1"].clear()
+    R._maps["s_h#1"].update(R._maps["s_h#0"])
+    R._maps["s_h#1*"].clear()
+    R._maps["s_h#1*"].update(R._maps["s_h#0*"])
     with pytest.raises(InternalInvariantError, match=r"relation s\*h#0 sh#1 fails"):
         verify_relations(R)
     with pytest.raises(InternalInvariantError, match="s_e\\* s_f"):
@@ -2252,3 +2265,173 @@ def test_growth_bit_rows_match_count_matrices_on_the_sweep():
         graphs_seen += 1
         assert _growth_doubles(g) == matrix_growth_doubles(g), g
     assert graphs_seen == -(-127771 // 16)
+
+
+# -- path checks: three bundle lookups per edge; edge maps by label ---------------
+
+
+def three_lookup_check_path(g, p):
+    """``check_path`` as it was: every edge through the old ``check_edge``, then
+    ``range_of`` and ``source_of`` per consecutive pair, each a bundle lookup."""
+    if p.length == 0:
+        g.vertex_index(p.vertex)
+        return
+    for ref in p.edges:
+        b = g.bundle(ref.bundle)
+        if ref.index < 0:
+            raise ContractError(f"edge index must be nonnegative: {ref}")
+        if not is_omega(b.multiplicity) and ref.index >= b.multiplicity:
+            raise ContractError(
+                f"edge index {ref.index} out of range for bundle {b.name!r} "
+                f"of multiplicity {b.multiplicity}"
+            )
+    for a, b in zip(p.edges, p.edges[1:]):
+        if g.range_of(a) != g.source_of(b):
+            raise ContractError(
+                f"edges {a} and {b} do not compose: "
+                f"{g.range_of(a)!r} != {g.source_of(b)!r}"
+            )
+
+
+def path_check_outcome(check, range_of_path, g, p):
+    """("ok", range) when ``check`` accepts ``p``, else the exception's type and message."""
+    try:
+        check(g, p)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return "ok", range_of_path(g, p)
+
+
+def assert_same_path_check(g, p):
+    reference = path_check_outcome(three_lookup_check_path, Graph.path_range, g, p)
+    assert path_check_outcome(Graph.check_path, Graph.path_range, g, p) == reference
+    assert path_check_outcome(Graph.check_path, Graph._checked_range, g, p) == reference
+    return reference
+
+
+@st.composite
+def checked_paths(draw):
+    """A graph with multiplicities 1, 2 and omega, and a path to check on it.
+
+    Walks follow out-bundles and are valid; each other kind breaks one: an
+    unknown bundle, an index below 0 or at the multiplicity, a pair that
+    does not compose, an invalid edge after such a pair, an unknown vertex.
+    """
+    g = draw(graphs())
+    kind = draw(st.sampled_from(("walk", "vertex", "unknown_bundle", "bad_index", "no_compose", "bad_after_no_compose", "unknown_vertex", "any")))
+    if kind == "vertex":
+        return g, Path(vertex=draw(st.sampled_from(g.vertices)))
+    if kind == "unknown_vertex":
+        return g, Path(vertex="nowhere")
+
+    def edge_of(b):
+        top = 5 if b.multiplicity is OMEGA else b.multiplicity - 1
+        return EdgeRef(b.name, draw(st.integers(0, top)))
+
+    edges = []
+    if g.bundles:
+        if kind == "any":
+            for _ in range(draw(st.integers(1, 5))):
+                edges.append(edge_of(draw(st.sampled_from(g.bundles))))
+        else:
+            v = draw(st.sampled_from(g.vertices))
+            for _ in range(draw(st.integers(1, 5))):
+                if not g.out_bundles(v):
+                    break
+                b = draw(st.sampled_from(g.out_bundles(v)))
+                edges.append(edge_of(b))
+                v = b.range
+    if not edges:
+        return g, Path(vertex=g.vertices[0])
+    at = draw(st.integers(0, len(edges) - 1))
+    finite = [b for b in g.bundles if b.multiplicity is not OMEGA]
+    if kind == "unknown_bundle":
+        edges[at] = EdgeRef("nope", 0)
+    elif kind == "bad_index" or (kind == "bad_after_no_compose" and not finite):
+        b = g.bundle(edges[at].bundle)
+        low = draw(st.booleans()) or b.multiplicity is OMEGA
+        edges[at] = EdgeRef(b.name, -1 if low else b.multiplicity)
+    elif kind in ("no_compose", "bad_after_no_compose"):
+        # an edge whose source is not the range of the edge before it
+        misfits = [b for b in g.bundles if b.source != g.range_of(edges[-1])]
+        if misfits:
+            edges.append(edge_of(draw(st.sampled_from(misfits))))
+        if kind == "bad_after_no_compose":
+            b = draw(st.sampled_from(finite))
+            edges.append(EdgeRef(b.name, b.multiplicity))
+    return g, Path(edges=tuple(edges))
+
+
+@SETTINGS
+@given(checked_paths())
+def test_check_path_matches_three_lookups(case):
+    assert_same_path_check(*case)
+
+
+@pytest.mark.parametrize(
+    "atoms, error, message",
+    [
+        ((("e", 1), ("f", 3)), None, "w"),
+        ("v", None, "v"),
+        ("nowhere", UnknownNameError, "unknown vertex 'nowhere'"),
+        ((("e", 0), ("x", 0)), UnknownNameError, "unknown bundle 'x'"),
+        ((("e", 0), ("f", -1)), ContractError, "edge index must be nonnegative: EdgeRef(bundle='f', index=-1)"),
+        ((("e", 2), ("f", 0)), ContractError, "edge index 2 out of range for bundle 'e' of multiplicity 2"),
+        (
+            (("f", 0), ("e", 0)),
+            ContractError,
+            "edges EdgeRef(bundle='f', index=0) and EdgeRef(bundle='e', index=0) do not compose: 'w' != 'u'",
+        ),
+        # the pair f e does not compose, but the bad edge after it is reported first
+        ((("f", 0), ("e", 0), ("e", 2)), ContractError, "edge index 2 out of range for bundle 'e' of multiplicity 2"),
+        ((("f", 0), ("e", 0), ("x", 0)), UnknownNameError, "unknown bundle 'x'"),
+    ],
+    ids=[
+        "valid", "vertex", "unknown_vertex", "unknown_bundle", "negative_index", "index_past_multiplicity",
+        "no_compose", "bad_index_after_no_compose", "unknown_bundle_after_no_compose",
+    ],
+)
+def test_check_path_cases_and_precedence(atoms, error, message):
+    g = Graph(("u", "v", "w"), (Bundle("e", "u", "v", 2), Bundle("f", "v", "w", OMEGA)))
+    p = Path(vertex=atoms) if isinstance(atoms, str) else Path(edges=tuple(EdgeRef(*a) for a in atoms))
+    assert assert_same_path_check(g, p) == ("ok" if error is None else error, message)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(acyclic_graphs())
+def test_edge_map_table_matches_labelled_maps(g):
+    R = build_rho(g)
+    refs = g.edge_refs()
+    assert list(R._edge_maps) == list(refs)
+    for ref in refs:
+        label = f"s_{render_edge_ref(g, ref)}"
+        assert R.edge_map(ref) == R.generator_map(label)
+        assert R.edge_star_map(ref) == R.generator_map(label + "*")
+        # the table shares the labelled dicts rather than copying them
+        e, estar = R._edge_maps[ref]
+        assert e is R._maps[label] and estar is R._maps[label + "*"]
+
+
+@pytest.mark.parametrize(
+    "labels, change, message",
+    [
+        # s_f#1 also sends ef#0 to itself, which does not start at v
+        (("s_f#1",), lambda m: m.__setitem__(3, 3), r"^relation p s = s = s p fails for f#1$"),
+        # s_f#1* also sends w to itself, which is not in the image of s_f#1
+        (("s_f#1*",), lambda m: m.__setitem__(0, 0), r"^relation p s\* = s\* = s\* p fails for f#1$"),
+        (("s_f#1*",), dict.popitem, r"^s_f#1\* is not the inverse of s_f#1$"),
+        # both emptied: every relation of e holds but s_e* s_e = p_v
+        (("s_e", "s_e*"), dict.clear, r"^relation s\*e se fails$"),
+        (("p_u",), lambda m: m.__setitem__(0, 0), r"^relation p_v = sum s_e s_e\* fails at 'u'$"),
+    ],
+    ids=["p_s_s_p", "p_sstar_sstar_p", "inverse", "sstar_s", "vertex_sum"],
+)
+def test_relation_checks_read_the_labelled_maps_in_place(labels, change, message):
+    # u -e-> v =f#0,f#1=> w: basis w, f#0, f#1, ef#0, ef#1
+    g = Graph(("u", "v", "w"), (Bundle("e", "u", "v"), Bundle("f", "v", "w", 2)))
+    R = build_rho(g)
+    verify_relations(R)
+    for label in labels:
+        change(R._maps[label])
+    with pytest.raises(InternalInvariantError, match=message):
+        verify_relations(R)

@@ -107,6 +107,26 @@ def test_generator_maps_line3():
     assert R.vertex_map("w") == {0: 0}
 
 
+@pytest.mark.parametrize("read", ["edge_map", "edge_star_map"])
+@pytest.mark.parametrize(
+    "ref, error, message",
+    [
+        (EdgeRef("e", 5), ContractError, "edge index 5 out of range for bundle 'e' of multiplicity 1"),
+        (EdgeRef("e", -1), ContractError, "edge index must be nonnegative: EdgeRef(bundle='e', index=-1)"),
+        (EdgeRef("x", 0), UnknownNameError, "unknown bundle 'x'"),
+    ],
+    ids=["index_past_multiplicity", "negative_index", "unknown_bundle"],
+)
+def test_edge_maps_refuse_what_graph_edge_refuses(read, ref, error, message):
+    R = build_rho(LINE3)
+    with pytest.raises(error) as err:
+        getattr(R, read)(ref)
+    assert str(err.value) == message
+    with pytest.raises(error) as err:
+        LINE3.edge(*ref)
+    assert str(err.value) == message
+
+
 def test_matrices_are_partial_permutations():
     for g in ACYCLIC:
         R = build_rho(g)
