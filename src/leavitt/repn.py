@@ -15,6 +15,7 @@ two blocks has dimension 1 on the diagonal and 0 off it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,13 +26,14 @@ from .algebra import (
     _require_acyclic_finite,
     dimension,
 )
-from .errors import ContractError, InternalInvariantError
+from .errors import ContractError, InternalInvariantError, UnknownNameError
 from .graph import (
     EdgeRef,
     Graph,
     Path,
     _entry_listing,
     _paths_ending,
+    _postorder,
     concat,
     count_entry_paths,
     line_through,
@@ -62,29 +64,29 @@ class BoundaryRepresentation:
         basis, texts = _paths_ending(g, sinks, {})
         self.basis = tuple(basis)
         self.texts = tuple(texts)
-        self.index = index = {p: i for i, p in enumerate(basis)}
-        by_sink = {t: [] for t in sinks}
+        self.index = {p: i for i, p in enumerate(basis)}
+        block_of = {t: c for c, t in enumerate(sinks)}
+        self.class_of = class_of = [block_of[g.path_range(p)] for p in basis]
+        blocks = [[] for _ in sinks]
         by_source = {v: [] for v in g.vertices}
+        by_first_edge = {ref: [] for ref in g.edge_refs()}
         for i, p in enumerate(basis):
-            by_sink[g.path_range(p)].append(i)
+            blocks[class_of[i]].append(i)
             by_source[g.path_source(p)].append(i)
-        self.classes = tuple(tuple(by_sink[t]) for t in sinks)
-        self.class_of = [0] * len(basis)
-        for c, block in enumerate(self.classes):
-            for i in block:
-                self.class_of[i] = c
+            if p.edges:
+                by_first_edge[p.edges[0]].append(i)
+        self.classes = tuple(map(tuple, blocks))
         self._maps: dict[str, PartialMap] = {}
         # the maps s_e and s_e* of each edge, the same dicts as under their labels
         self._edge_maps: dict[EdgeRef, tuple[PartialMap, PartialMap]] = {}
         for v in g.vertices:
             self._maps[f"p_{v}"] = {i: i for i in by_source[v]}
-        for ref in g.edge_refs():
-            head = (ref,)
-            fwd = {
-                i: index[Path(edges=head + basis[i].edges)]
-                for i in by_source[g.range_of(ref)]
-            }
-            back = {j: i for i, j in fwd.items()}
+        for ref, starting in by_first_edge.items():
+            # prepending e is a bijection from the basis paths at r(e) onto those
+            # starting with e, and it keeps path_key order, so it pairs them in order
+            at_range = by_source[g.range_of(ref)]
+            fwd = dict(zip(at_range, starting))
+            back = dict(zip(starting, at_range))
             name = render_edge_ref(g, ref)
             self._maps[f"s_{name}"] = fwd
             self._maps[f"s_{name}*"] = back
@@ -103,9 +105,13 @@ class BoundaryRepresentation:
         return tuple(self._maps)
 
     def generator_map(self, label: str) -> PartialMap:
-        return dict(self._maps[label])
+        try:
+            return dict(self._maps[label])
+        except (KeyError, TypeError):
+            raise UnknownNameError(f"unknown generator {label!r}") from None
 
     def vertex_map(self, v: str) -> PartialMap:
+        self.graph.vertex_index(v)  # raises UnknownNameError
         return dict(self._maps[f"p_{v}"])
 
     def edge_map(self, ref: EdgeRef) -> PartialMap:
@@ -118,12 +124,19 @@ class BoundaryRepresentation:
 
     def matrix(self, label: str) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of a generator: entry [image, argument] is 1."""
+        m = self.generator_map(label)
         n = len(self.basis)
-        m = self._maps[label]
         rows = [[Fraction(0)] * n for _ in range(n)]
         for j, i in m.items():
             rows[i][j] = Fraction(1)
         return tuple(tuple(r) for r in rows)
+
+    def _block(self, c: int) -> tuple[int, ...]:
+        """The basis positions of block ``c``; raises ContractError outside 0..k-1."""
+        k = len(self.classes)
+        if not (isinstance(c, int) and 0 <= c < k):
+            raise ContractError(f"block index {c!r} is outside 0..{k - 1}")
+        return self.classes[c]
 
 
 def build_rho(g: Graph) -> BoundaryRepresentation:
@@ -256,39 +269,37 @@ def verify_irreducible_block(
     vectors to basis vectors (or zero), that subspace is spanned by the
     orbit of the starting vector, which the certificate records.
 
-    The orbits follow only the generators acting on the block.  While no
-    generator leaves the block, an orbit never reaches a vector the other
-    generators act on, so orbits and certificate are those of all
-    generators; once one leaves, an orbit contains a vector outside the
-    block and the verdict is False either way.  The moves are gathered
-    once per block, so each orbit costs its own size plus its moves.
+    Every orbit is the block iff the orbit of its first vector x is the
+    block and every vector of the block reaches x (then each reaches the
+    block through x, and no further).  So one walk forward and one
+    backward from x decide in O(n + moves).  The walks follow only the
+    generators acting on the block: while none leaves it, the others
+    never meet an orbit, and once one leaves, the forward walk meets a
+    vector outside.  Only a failing block pays for the orbit of every
+    start, under every generator.
     """
-    block = R.classes[block_index]
+    block = R._block(block_index)
     block_set = set(block)
-    moves: dict[int, list[int]] = {i: [] for i in block}
+    moves, back = defaultdict(list), defaultdict(list)
     for label in R.block_labels[block_index]:
         for j, i in R._maps[label].items():
             if j in block_set:
                 moves[j].append(i)
+                back[i].append(j)
     basis = R.basis
-    whole = tuple(basis[i] for i in block)
-    certificate = {}
-    ok = True
-    for start in block:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for nxt in moves.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        # the basis is sorted by path_key, so positions sort the same way
-        if seen == block_set:
-            certificate[basis[start]] = whole
-        else:
-            ok = False
-            certificate[basis[start]] = tuple(basis[i] for i in sorted(seen))
-    return ok, certificate
+    x = block[:1]
+    if set(_postorder(moves, x)) == block_set and len(_postorder(back, x)) == len(block):
+        whole = tuple(basis[i] for i in block)
+        return True, dict.fromkeys(whole, whole)
+    every = defaultdict(list)
+    for m in R._maps.values():
+        for j, i in m.items():
+            every[j].append(i)
+    # the basis is sorted by path_key, so positions sort the same way
+    return False, {
+        basis[start]: tuple(basis[i] for i in sorted(_postorder(every, (start,))))
+        for start in block
+    }
 
 
 def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
@@ -309,8 +320,8 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
     of h (the remaining columns): O(sum |f| n_b + sum |h| n_a) unions
     instead of O(|generators| n_a n_b).
     """
-    A = R.classes[a]
-    B = R.classes[b]
+    A = R._block(a)
+    B = R._block(b)
     pos_a = {gi: j for j, gi in enumerate(A)}
     pos_b = {gi: i for i, gi in enumerate(B)}
     na, nb = len(A), len(B)
@@ -514,17 +525,20 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     Requires that the saturation of the line point's tree is every
     vertex.  The sink basis is then {s_alpha s_beta*} over pairs of
     paths into the one sink, and the rewrite into unit coordinates is
-    certified in O(total length of those paths):
+    certified without listing them, in the time of ``_verify_units``:
+    the algebra dimension is |Lambda|^2, the end of the line is the only
+    sink, and ``_verify_units`` passes on the returned system and gives
+    back its line positions ``at``.
 
-    - the end of the line is the only sink;
-    - every path p into it is lam_c followed by the line path from the
-      range of lam_c, for one index c = c(p);
-    - c is a bijection onto Lambda;
-    - the algebra dimension is |Lambda|^2.
-
-    Contracting the shared line tail of s_alpha s_beta* then stops at
-    unit (c(alpha), c(beta)), as in ``_verify_units``, so the rewrite is
-    a bijection onto Lambda x Lambda.
+    Why this is enough.  The members of Lambda are pairwise incomparable
+    and lam_c ends on the line at a_c = at[c], so c -> lam_c L[a_c:]
+    (L[a:] the line path from w_a to the end) maps Lambda into the paths
+    into the sink, injectively: two members with one image are prefixes
+    of one path, hence comparable.  With one sink the dimension is
+    count(end)^2, so there are |Lambda| such paths, and each, p, is
+    lam_c L[a_c:] for exactly one c = c(p).  Contracting the shared line
+    tail of s_alpha s_beta* then stops at unit (c(alpha), c(beta)), as in
+    ``_verify_units``, so the rewrite is a bijection onto Lambda x Lambda.
     """
     if set(saturate(g, tree_of(g, v))) != set(g.vertices):
         raise ContractError(
@@ -534,23 +548,8 @@ def naimark_isomorphism(g: Graph, v: str) -> MatrixUnitSystem:
     n = len(sys.lam)
     if dimension(g) != n * n:
         raise InternalInvariantError("algebra dimension differs from |Lambda|^2")
-    end = sys.line[-1]
-    if singular_vertices(g) != (end,):
+    if singular_vertices(g) != (sys.line[-1],):
         raise InternalInvariantError("the end of the line is not the only sink")
-    lam_index = {p: c for c, p in enumerate(sys.lam)}
-    line_edges = set(sys.line_edges)
-    seen = bytearray(n)
-    for p in _paths_ending(g, (end,), {})[0]:
-        k = p.length
-        while k and p.edges[k - 1] in line_edges:
-            k -= 1
-        head = Path(edges=p.edges[:k]) if k else vertex_path(g.path_source(p))
-        c = lam_index.get(head)
-        if c is None or p.edges[k:] != sys.line_edges[sys.at[c] :]:
-            raise InternalInvariantError(f"sink path does not run from Lambda down the line: {p}")
-        if seen[c]:
-            raise InternalInvariantError("unit coordinates repeat")
-        seen[c] = 1
-    if not all(seen):
-        raise InternalInvariantError("unit coordinates do not cover Lambda")
+    if _verify_units(g, sys.line, sys.line_edges, sys.lam) != sys.at:
+        raise InternalInvariantError("a sink path does not run from Lambda down the line")
     return sys

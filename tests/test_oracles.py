@@ -127,6 +127,14 @@ message and range, with the one lookup per edge on hypothesis paths over
 multiplicities 1, 2 and omega, valid and broken in each way it refuses.
 The representation's edge maps were found by their rendered labels; the
 table keyed by ``EdgeRef`` is compared with those labelled maps.
+
+The edge maps built every path e p and looked it up in the basis index;
+``naimark_isomorphism`` listed every path into the sink and stripped its
+line tail; irreducibility walked from every start of a block.  The first
+two are kept here (``index_edge_maps``, ``sink_path_coordinates``) and
+compared with the maps zipped from the basis and the counting proof, on
+hypothesis graphs, brooms and the sweep; the walk over every generator
+is compared with the two walks also on maps corrupted so that blocks fail.
 """
 
 import contextlib
@@ -818,6 +826,43 @@ def pairwise_isomorphism_check(g, sys):
     return len(seen) == n * n
 
 
+def sink_path_coordinates(g, sys):
+    """The unit coordinate c(p) of each path p into the one sink, in listing order.
+
+    Lists every path into the end of the line, strips its trailing line
+    edges and looks the rest up in Lambda; raises InternalInvariantError
+    unless each path is lam_c followed by the line path from the range of
+    lam_c and c is a bijection onto Lambda.
+    """
+    n = len(sys.lam)
+    end = sys.line[-1]
+    lam_index = {p: c for c, p in enumerate(sys.lam)}
+    line_edges = set(sys.line_edges)
+    seen = bytearray(n)
+    coordinates = []
+    for p in _paths_ending(g, (end,), {})[0]:
+        k = p.length
+        while k and p.edges[k - 1] in line_edges:
+            k -= 1
+        head = Path(edges=p.edges[:k]) if k else vertex_path(g.path_source(p))
+        c = lam_index.get(head)
+        if c is None or p.edges[k:] != sys.line_edges[sys.at[c] :]:
+            raise InternalInvariantError(f"sink path does not run from Lambda down the line: {p}")
+        if seen[c]:
+            raise InternalInvariantError("unit coordinates repeat")
+        seen[c] = 1
+        coordinates.append(c)
+    if not all(seen):
+        raise InternalInvariantError("unit coordinates do not cover Lambda")
+    return coordinates
+
+
+def assert_isomorphism_oracles(g, sys):
+    """The pairwise rewrite and the listing of the sink paths both accept ``sys``."""
+    assert pairwise_isomorphism_check(g, sys)
+    assert sorted(sink_path_coordinates(g, sys)) == list(range(len(sys.lam)))
+
+
 def broom(handle, bristles):
     """The line w0 -> ... -> w(handle-1), fed at w0 by ``bristles`` edges."""
     w = [f"w{i}" for i in range(handle)]
@@ -837,7 +882,7 @@ def test_unit_checks_agree_on_sweep_positives():
             continue
         positives += 1
         assert unit_verdicts(g, witness) == (True, True)
-        assert pairwise_isomorphism_check(g, naimark_isomorphism(g, witness))
+        assert_isomorphism_oracles(g, naimark_isomorphism(g, witness))
     assert positives == 1557
 
 
@@ -847,7 +892,7 @@ def test_unit_checks_agree_on_brooms():
             g = broom(handle, lam - handle)
             for v in {g.vertices[0], g.vertices[-1]}:
                 assert unit_verdicts(g, v) == (True, True)
-            assert pairwise_isomorphism_check(g, naimark_isomorphism(g, "w0"))
+            assert_isomorphism_oracles(g, naimark_isomorphism(g, "w0"))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -858,7 +903,7 @@ def test_unit_checks_agree_on_hypothesis_graphs(g):
             assert unit_verdicts(g, v) == (True, True)
     witness = check_condition5(g)
     if witness is not None:
-        assert pairwise_isomorphism_check(g, naimark_isomorphism(g, witness))
+        assert_isomorphism_oracles(g, naimark_isomorphism(g, witness))
 
 
 def corrupted_grids():
@@ -918,6 +963,27 @@ def test_isomorphism_checks_reject_shifted_coordinates(monkeypatch):
     monkeypatch.setattr("leavitt.repn.matrix_units", lambda g, v: shifted)
     with pytest.raises(InternalInvariantError, match="does not run from Lambda down the line"):
         naimark_isomorphism(g, "w0")
+
+
+def test_sink_path_coordinates_reject_shifted_coordinates():
+    g = broom(4, 4)
+    sys = matrix_units(g, "w0")
+    at = list(sys.at)
+    at[4] += 1
+    shifted = MatrixUnitSystem(sys.line, sys.line_edges, sys.lam, tuple(at))
+    assert sink_path_coordinates(g, sys) == [3, 2, 1, 0, 4, 5, 6, 7]  # w3, e2, e1e2, e0e1e2, h0e0e1e2, ...
+    with pytest.raises(InternalInvariantError, match="does not run from Lambda down the line"):
+        sink_path_coordinates(g, shifted)
+
+
+def test_naimark_isomorphism_lists_no_sink_path_on_a_long_broom():
+    # listing and stripping the 2,200 paths into the sink took 6.8 s on a
+    # 2-core VM
+    g = broom(2000, 200)
+    start = time.perf_counter()
+    sys = naimark_isomorphism(g, "w0")
+    assert time.perf_counter() - start < 1.0
+    assert len(sys.lam) == 2200 and sys.at == (*range(2000), *[0] * 200)
 
 
 # -- the representation: pairwise relations, all-generator walks ------------------
@@ -1088,6 +1154,35 @@ def test_hom_space_dim_matches_dense_on_permuted_maps(g, data):
     for a in range(k):
         for b in range(k):
             assert hom_space_dim(R, a, b) == dense_hom_space_dim(R, a, b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(acyclic_graphs(), trees()), st.sampled_from(["clear stars", "leave", "permute"]), st.data())
+def test_irreducibility_matches_all_generator_orbits_on_corrupted_maps(g, how, data):
+    """Blocks that fail: the star maps cleared on one block, one entry sent
+    to another block, or maps permuted within each block."""
+    R = build_rho(g)
+    k = len(R.classes)
+    if how == "clear stars":
+        c = data.draw(st.integers(0, k - 1))
+        for label in R.block_labels[c]:
+            if label.endswith("*"):
+                m = R._maps[label]
+                for j in [j for j in m if R.class_of[j] == c]:
+                    del m[j]
+    elif how == "leave":
+        hypothesis.assume(k > 1)
+        m = R._maps[data.draw(st.sampled_from(R.generator_labels()))]
+        j = data.draw(st.sampled_from(sorted(m)))
+        m[j] = data.draw(st.sampled_from([i for i, c in enumerate(R.class_of) if c != R.class_of[j]]))
+    else:
+        for label in data.draw(st.lists(st.sampled_from(R.generator_labels()), max_size=4)):
+            m = R._maps[label]
+            for c, block in enumerate(R.classes):
+                domain = [j for j in m if R.class_of[j] == c]
+                m.update(zip(domain, data.draw(st.permutations(block))))
+    for c in range(k):
+        assert verify_irreducible_block(R, c) == all_generator_orbits(R, c)
 
 
 def starts_with(g, p, q):
@@ -2397,12 +2492,40 @@ def test_check_path_cases_and_precedence(atoms, error, message):
     assert assert_same_path_check(g, p) == ("ok" if error is None else error, message)
 
 
+def index_edge_maps(R):
+    """Each edge's (s_e, s_e*), looking the path e p up in ``R.index`` for every basis path p at r(e)."""
+    g = R.graph
+    index = R.index
+    basis = R.basis
+    maps = {}
+    for ref in g.edge_refs():
+        head = (ref,)
+        fwd = {
+            i: index[Path(edges=head + basis[i].edges)]
+            for i in R.vertex_map(g.range_of(ref))
+        }
+        maps[ref] = (fwd, {j: i for i, j in fwd.items()})
+    return maps
+
+
+def test_edge_maps_match_index_lookups_on_the_acyclic_sweep():
+    checked = 0
+    for g in base_graphs():
+        if has_cycle(g):
+            continue
+        checked += 1
+        R = build_rho(g)
+        assert R._edge_maps == index_edge_maps(R)
+    assert checked == 3442
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(acyclic_graphs())
 def test_edge_map_table_matches_labelled_maps(g):
     R = build_rho(g)
     refs = g.edge_refs()
     assert list(R._edge_maps) == list(refs)
+    assert R._edge_maps == index_edge_maps(R)
     for ref in refs:
         label = f"s_{render_edge_ref(g, ref)}"
         assert R.edge_map(ref) == R.generator_map(label)
