@@ -64,7 +64,6 @@ class BoundaryRepresentation:
         basis, texts = _paths_ending(g, sinks, {})
         self.basis = tuple(basis)
         self.texts = tuple(texts)
-        self.index = {p: i for i, p in enumerate(basis)}
         block_of = {t: c for c, t in enumerate(sinks)}
         self.class_of = class_of = [block_of[g.path_range(p)] for p in basis]
         blocks = [[] for _ in sinks]
@@ -134,7 +133,7 @@ class BoundaryRepresentation:
     def _block(self, c: int) -> tuple[int, ...]:
         """The basis positions of block ``c``; raises ContractError outside 0..k-1."""
         k = len(self.classes)
-        if not (isinstance(c, int) and 0 <= c < k):
+        if not (isinstance(c, int) and not isinstance(c, bool) and 0 <= c < k):
             raise ContractError(f"block index {c!r} is outside 0..{k - 1}")
         return self.classes[c]
 
@@ -259,6 +258,30 @@ def blocks_invariant(R: BoundaryRepresentation) -> bool:
     )
 
 
+def _one_orbit(R: BoundaryRepresentation, c: int) -> bool:
+    """True iff the first vector x of block ``c`` reaches the whole block and all of it reaches x.
+
+    Generators map basis vectors to basis vectors (or zero), so the orbit
+    of a vector is a set of basis vectors; every orbit is the block iff
+    the orbit of x is the block and every vector of the block reaches x
+    (then each reaches the block through x, and no further).  So one walk
+    forward and one backward from x decide in O(n + moves).  The walks
+    follow only the generators acting on the block: while none leaves it,
+    the others never meet an orbit, and once one leaves, the forward walk
+    meets a vector outside.
+    """
+    block = R.classes[c]
+    block_set = set(block)
+    moves, back = defaultdict(list), defaultdict(list)
+    for label in R.block_labels[c]:
+        for j, i in R._maps[label].items():
+            if j in block_set:
+                moves[j].append(i)
+                back[i].append(j)
+    x = block[:1]
+    return set(_postorder(moves, x)) == block_set and len(_postorder(back, x)) == len(block)
+
+
 def verify_irreducible_block(
     R: BoundaryRepresentation, block_index: int
 ) -> tuple[bool, dict[Path, tuple[Path, ...]]]:
@@ -267,28 +290,13 @@ def verify_irreducible_block(
     For every basis vector of the block, the smallest invariant subspace
     containing it must be the whole block.  Since generators map basis
     vectors to basis vectors (or zero), that subspace is spanned by the
-    orbit of the starting vector, which the certificate records.
-
-    Every orbit is the block iff the orbit of its first vector x is the
-    block and every vector of the block reaches x (then each reaches the
-    block through x, and no further).  So one walk forward and one
-    backward from x decide in O(n + moves).  The walks follow only the
-    generators acting on the block: while none leaves it, the others
-    never meet an orbit, and once one leaves, the forward walk meets a
-    vector outside.  Only a failing block pays for the orbit of every
-    start, under every generator.
+    orbit of the starting vector, which the certificate records.  The
+    two walks of ``_one_orbit`` decide; only a failing block pays for the
+    orbit of every start, under every generator.
     """
     block = R._block(block_index)
-    block_set = set(block)
-    moves, back = defaultdict(list), defaultdict(list)
-    for label in R.block_labels[block_index]:
-        for j, i in R._maps[label].items():
-            if j in block_set:
-                moves[j].append(i)
-                back[i].append(j)
     basis = R.basis
-    x = block[:1]
-    if set(_postorder(moves, x)) == block_set and len(_postorder(back, x)) == len(block):
+    if _one_orbit(R, block_index):
         whole = tuple(basis[i] for i in block)
         return True, dict.fromkeys(whole, whole)
     every = defaultdict(list)
@@ -303,67 +311,47 @@ def verify_irreducible_block(
 
 
 def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
-    """Dimension of the intertwiner space between blocks ``a`` and ``b``.
+    """Dimension of the intertwiner space between blocks ``a`` and ``b``: 1 if a == b, else 0.
 
-    Solves T rho_a(gen) = rho_b(gen) T for all generators exactly.  The
-    generators are partial injections, so every constraint either equates
-    two entries of T or forces one to zero; a union-find over the entries
-    gives the dimension as the number of entry classes with no entry
-    forced to zero.
+    Schur's lemma, with its hypotheses checked on R's maps.  Let x be the
+    first position of block a, the vertex path of its sink t (length 0
+    sorts first), and P = p_t.  The hypotheses are:
 
-    With f = rho_a(gen) and h = rho_b(gen), entry (i, j) of the equation
-    reads T[i, f(j)] = T[h^-1(i), j], where a side with f(j) or h^-1(i)
-    undefined is 0.  A generator acting on neither block gives only
-    0 = 0, and an entry with both sides undefined says nothing, so the
-    constraints come from the generators acting on a or b, and from the
-    columns j in the domain of f (all rows i) and the rows i in the image
-    of h (the remaining columns): O(sum |f| n_b + sum |h| n_a) unions
-    instead of O(|generators| n_a n_b).
+    (i) P acts on block a as {x: x};
+    (ii) block a passes the two walks of ``_one_orbit``, so every y in a
+         is w x for a word w in the generators;
+    (iii) if b != a, P has no entry in block b.
+
+    Let T be an intertwiner from a to b.  Then T x = T P x = P T x, which
+    lies in span(x) when b = a, by (i), and is 0 otherwise, by (iii); and
+    T y = T w x = w T x, so T is fixed by T x.  The dimension is therefore
+    at most 1 when b = a, where the identity intertwines because no
+    generator leaves a, and 0 otherwise.  The boundary-path representation
+    meets all three: t is a sink, so x is the only basis path starting at
+    t, and every block is one orbit.
+
+    Reads the maps of the generators acting on a or b.  Raises
+    InternalInvariantError for a generator that leaves block a or b, and
+    naming the hypothesis that fails.
     """
     A = R._block(a)
-    B = R._block(b)
-    pos_a = {gi: j for j, gi in enumerate(A)}
-    pos_b = {gi: i for i, gi in enumerate(B)}
-    na, nb = len(A), len(B)
-    size = na * nb
-    parent = list(range(size))
-    forced_zero = bytearray(size)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    R._block(b)  # refuses an unknown b
+    class_of = R.class_of
     for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
-        m = R._maps[label]
-        f = {}
-        h_inv = {}
-        for gj, gi in m.items():
-            if gj in pos_a:
-                if gi not in pos_a:
-                    raise InternalInvariantError("generator leaves a block")
-                f[pos_a[gj]] = pos_a[gi]
-            if gj in pos_b:
-                if gi not in pos_b:
-                    raise InternalInvariantError("generator leaves a block")
-                h_inv[pos_b[gi]] = pos_b[gj]
-        for j, fj in f.items():
-            for i in range(nb):
-                hi = h_inv.get(i)
-                if hi is None:
-                    forced_zero[i * na + fj] = 1
-                else:
-                    rx, ry = find(i * na + fj), find(hi * na + j)
-                    if rx != ry:
-                        parent[rx] = ry
-        for hi in h_inv.values():
-            row = hi * na
-            for j in range(na):
-                if j not in f:
-                    forced_zero[row + j] = 1
-    roots = {find(e) for e in range(size)}
-    return len(roots - {find(e) for e in range(size) if forced_zero[e]})
+        for j, i in R._maps[label].items():
+            c = class_of[j]
+            if (c == a or c == b) and class_of[i] != c:
+                raise InternalInvariantError("generator leaves a block")
+    x = A[0]
+    t = R.graph.path_range(R.basis[x])
+    P = R._maps[f"p_{t}"]
+    if {j: i for j, i in P.items() if class_of[j] == a} != {x: x}:
+        raise InternalInvariantError(f"p_{t} does not project block {a} onto its sink path")
+    if not _one_orbit(R, a):
+        raise InternalInvariantError(f"block {a} is not one orbit")
+    if b != a and any(class_of[j] == b for j in P):
+        raise InternalInvariantError(f"p_{t} has an entry in block {b}")
+    return 1 if a == b else 0
 
 
 # -- matrix units ----------------------------------------------------------

@@ -279,6 +279,7 @@ def test_criterion_7(capsys):
         if has_cycle(g) or any(is_omega(b.multiplicity) for b in g.bundles):
             continue
         R = build_rho(g)
+        index = {p: i for i, p in enumerate(R.basis)}
         positions = set()
         for t in g.vertices:
             if g.out_bundles(t):
@@ -292,7 +293,7 @@ def test_criterion_7(capsys):
                         for c in range(R.dimension)
                         if mat[r][c]
                     ]
-                    if hits != [(R.index[alpha], R.index[beta])] or mat[hits[0][0]][hits[0][1]] != 1:
+                    if hits != [(index[alpha], index[beta])] or mat[hits[0][0]][hits[0][1]] != 1:
                         failures.append(f"{name}: basis monomial acts badly")
                     positions.add(hits[0])
         if len(positions) != dimension(g):

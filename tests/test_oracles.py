@@ -1084,6 +1084,70 @@ def dense_hom_space_dim(R, a, b):
     return len(roots)
 
 
+def union_find_hom_space_dim(R, a, b):
+    """Dimension of the intertwiner space between blocks ``a`` and ``b``, by union-find.
+
+    Solves T rho_a(gen) = rho_b(gen) T for all generators exactly.  The
+    generators are partial injections, so every constraint either equates
+    two entries of T or forces one to zero; a union-find over the entries
+    gives the dimension as the number of entry classes with no entry
+    forced to zero.
+
+    With f = rho_a(gen) and h = rho_b(gen), entry (i, j) of the equation
+    reads T[i, f(j)] = T[h^-1(i), j], where a side with f(j) or h^-1(i)
+    undefined is 0.  A generator acting on neither block gives only
+    0 = 0, and an entry with both sides undefined says nothing, so the
+    constraints come from the generators acting on a or b, and from the
+    columns j in the domain of f (all rows i) and the rows i in the image
+    of h (the remaining columns): O(sum |f| n_b + sum |h| n_a) unions
+    instead of O(|generators| n_a n_b).
+    """
+    A = R._block(a)
+    B = R._block(b)
+    pos_a = {gi: j for j, gi in enumerate(A)}
+    pos_b = {gi: i for i, gi in enumerate(B)}
+    na, nb = len(A), len(B)
+    size = na * nb
+    parent = list(range(size))
+    forced_zero = bytearray(size)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
+        m = R._maps[label]
+        f = {}
+        h_inv = {}
+        for gj, gi in m.items():
+            if gj in pos_a:
+                if gi not in pos_a:
+                    raise InternalInvariantError("generator leaves a block")
+                f[pos_a[gj]] = pos_a[gi]
+            if gj in pos_b:
+                if gi not in pos_b:
+                    raise InternalInvariantError("generator leaves a block")
+                h_inv[pos_b[gi]] = pos_b[gj]
+        for j, fj in f.items():
+            for i in range(nb):
+                hi = h_inv.get(i)
+                if hi is None:
+                    forced_zero[i * na + fj] = 1
+                else:
+                    rx, ry = find(i * na + fj), find(hi * na + j)
+                    if rx != ry:
+                        parent[rx] = ry
+        for hi in h_inv.values():
+            row = hi * na
+            for j in range(na):
+                if j not in f:
+                    forced_zero[row + j] = 1
+    roots = {find(e) for e in range(size)}
+    return len(roots - {find(e) for e in range(size) if forced_zero[e]})
+
+
 def sympy_hom_space_dim(R, a, b):
     """n_a n_b minus the rank of T rho_a(x) = rho_b(x) T over every generator.
 
@@ -1126,6 +1190,7 @@ def test_representation_checks_match_exhaustive_loops_and_sympy(g):
         for b in range(k):
             d = hom_space_dim(R, a, b)
             assert d == dense_hom_space_dim(R, a, b) == (1 if a == b else 0)
+            assert d == union_find_hom_space_dim(R, a, b)
             if len(R.classes[a]) * len(R.classes[b]) <= 64:
                 assert d == sympy_hom_space_dim(R, a, b)
 
@@ -1140,28 +1205,9 @@ def trees(draw):
     return Graph(vs, tuple(Bundle(f"e{i}", vs[p], vs[i + 1], draw(mult)) for i, p in enumerate(parents)))
 
 
-@settings(max_examples=120, deadline=None, database=None)
-@given(st.one_of(acyclic_graphs(), trees()), st.data())
-def test_hom_space_dim_matches_dense_on_permuted_maps(g, data):
-    """Dimensions away from delta: some maps send their domain elsewhere inside each block, still one to one."""
-    R = build_rho(g)
-    for label in data.draw(st.lists(st.sampled_from(R.generator_labels()), max_size=4)):
-        m = R._maps[label]
-        for c, block in enumerate(R.classes):
-            domain = [j for j in m if R.class_of[j] == c]
-            m.update(zip(domain, data.draw(st.permutations(block))))
-    k = len(R.classes)
-    for a in range(k):
-        for b in range(k):
-            assert hom_space_dim(R, a, b) == dense_hom_space_dim(R, a, b)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.one_of(acyclic_graphs(), trees()), st.sampled_from(["clear stars", "leave", "permute"]), st.data())
-def test_irreducibility_matches_all_generator_orbits_on_corrupted_maps(g, how, data):
-    """Blocks that fail: the star maps cleared on one block, one entry sent
-    to another block, or maps permuted within each block."""
-    R = build_rho(g)
+def corrupt_maps(R, how, data):
+    """Clear the star maps on one block, send one entry to another block, or
+    permute maps within each block, still one to one."""
     k = len(R.classes)
     if how == "clear stars":
         c = data.draw(st.integers(0, k - 1))
@@ -1181,7 +1227,35 @@ def test_irreducibility_matches_all_generator_orbits_on_corrupted_maps(g, how, d
             for c, block in enumerate(R.classes):
                 domain = [j for j in m if R.class_of[j] == c]
                 m.update(zip(domain, data.draw(st.permutations(block))))
-    for c in range(k):
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(acyclic_graphs(), trees()), st.sampled_from(["clear stars", "permute"]), st.data())
+def test_hom_space_dim_matches_dense_on_permuted_maps(g, how, data):
+    """Dimensions away from delta: the union-find solves them, and the
+    Schur certificate answers as dense does or refuses."""
+    R = build_rho(g)
+    corrupt_maps(R, how, data)
+    k = len(R.classes)
+    for a in range(k):
+        for b in range(k):
+            dense = dense_hom_space_dim(R, a, b)
+            assert union_find_hom_space_dim(R, a, b) == dense
+            try:
+                d = hom_space_dim(R, a, b)
+            except InternalInvariantError:
+                continue
+            assert d == dense
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(acyclic_graphs(), trees()), st.sampled_from(["clear stars", "leave", "permute"]), st.data())
+def test_irreducibility_matches_all_generator_orbits_on_corrupted_maps(g, how, data):
+    """Blocks that fail: the star maps cleared on one block, one entry sent
+    to another block, or maps permuted within each block."""
+    R = build_rho(g)
+    corrupt_maps(R, how, data)
+    for c in range(len(R.classes)):
         assert verify_irreducible_block(R, c) == all_generator_orbits(R, c)
 
 
@@ -1196,28 +1270,30 @@ def scanning_evaluate(R, x):
     """Dense matrix of x, testing every basis path against each term's beta."""
     g = R.graph
     n = len(R.basis)
+    index = {p: i for i, p in enumerate(R.basis)}
     rows = [[Fraction(0)] * n for _ in range(n)]
     for m, c in x.terms:
         for j, delta in enumerate(R.basis):
             if not starts_with(g, delta, m.beta):
                 continue
-            i = R.index.get(concat(m.alpha, strip_prefix(g, delta, m.beta)))
+            i = index.get(concat(m.alpha, strip_prefix(g, delta, m.beta)))
             if i is not None:
                 rows[i][j] += c
     return tuple(tuple(r) for r in rows)
 
 
 def index_evaluate(R, x):
-    """Dense matrix of x, looking up the concatenations alpha r and beta r in ``R.index``."""
+    """Dense matrix of x, looking up the concatenations alpha r and beta r in a basis index."""
     g = R.graph
     n = len(R.basis)
+    index = {p: i for i, p in enumerate(R.basis)}
     rows = [[Fraction(0)] * n for _ in range(n)]
     for m, c in x.terms:
         for j in R.vertex_map(g.path_range(m.beta)):
             rest = R.basis[j]
-            i = R.index.get(concat(m.alpha, rest))
+            i = index.get(concat(m.alpha, rest))
             if i is not None:
-                rows[i][R.index[concat(m.beta, rest)]] += c
+                rows[i][index[concat(m.beta, rest)]] += c
     return tuple(tuple(r) for r in rows)
 
 
@@ -2493,10 +2569,10 @@ def test_check_path_cases_and_precedence(atoms, error, message):
 
 
 def index_edge_maps(R):
-    """Each edge's (s_e, s_e*), looking the path e p up in ``R.index`` for every basis path p at r(e)."""
+    """Each edge's (s_e, s_e*), looking the path e p up in a basis index for every basis path p at r(e)."""
     g = R.graph
-    index = R.index
     basis = R.basis
+    index = {p: i for i, p in enumerate(basis)}
     maps = {}
     for ref in g.edge_refs():
         head = (ref,)
