@@ -153,44 +153,46 @@ def _emit(payload) -> None:
     strings and keys and ``int.__repr__`` for exact ints, since
     ``json.dumps`` with an indent encodes in pure Python.  Any other value
     (bool, None, float, a subclass, a dict with a non-``str`` key) goes to
-    ``json.dumps`` itself, re-indented to its depth.
+    ``json.dumps`` itself, re-indented to its depth.  The text is streamed
+    piece by piece, never held whole.
     """
-    out: list[str] = []
-    _write(payload, "\n", out)
-    print("".join(out))
+    _write(payload, "\n")
+    sys.stdout.write("\n")
 
 
-def _write(x, pad: str, out: list[str]) -> None:
-    """Append the text of ``x`` at the depth whose line break is ``pad``."""
+def _write(x, pad: str) -> None:
+    """Write the text of ``x`` at the depth whose line break is ``pad`` to ``sys.stdout``."""
+    # looked up on each call, so that contextlib.redirect_stdout takes effect
+    write = sys.stdout.write
     kind = type(x)
     encode = _ENCODERS.get(kind)
     if encode is not None:
-        out.append(encode(x))
+        write(encode(x))
     elif (kind is dict or kind is list or kind is tuple) and not x:
-        out.append("{}" if kind is dict else "[]")
+        write("{}" if kind is dict else "[]")
     elif kind is dict and set(map(type, x)) == {str}:
         inner = pad + "  "
         sep = "{" + inner
         for key in sorted(x):
-            out.append(sep + _encode_str(key) + ": ")
-            _write(x[key], inner, out)
+            write(sep + _encode_str(key) + ": ")
+            _write(x[key], inner)
             sep = "," + inner
-        out.append(pad + "}")
+        write(pad + "}")
     elif kind is list or kind is tuple:
         inner = pad + "  "
         kinds = set(map(type, x))
         encode = _ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
         if encode is not None:
-            out.append("[" + inner + ("," + inner).join(map(encode, x)) + pad + "]")
+            write("[" + inner + ("," + inner).join(map(encode, x)) + pad + "]")
             return
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _write(item, inner, out)
+            write(sep)
+            _write(item, inner)
             sep = "," + inner
-        out.append(pad + "]")
+        write(pad + "]")
     else:
-        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", pad))
+        write(json.dumps(x, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def _size(n: int | None):

@@ -271,6 +271,8 @@ class Graph:
             b = self.bundles[self._bundle_at[ref.bundle]]
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown bundle {ref.bundle!r}") from None
+        if not isinstance(ref.index, int) or isinstance(ref.index, bool):
+            raise ContractError(f"edge index must be an int: {ref}")
         if ref.index < 0:
             raise ContractError(f"edge index must be nonnegative: {ref}")
         if b.multiplicity is not OMEGA and ref.index >= b.multiplicity:

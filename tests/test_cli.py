@@ -1,7 +1,11 @@
 """JSON ingestion, report commands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -569,6 +573,31 @@ def test_compseries_on_comb_2000_in_output_sized_time(tmp_path, capsys):
     assert lines[-1] == f"factor {k}: size 2 at s0"
 
 
+def test_compseries_json_is_streamed_in_bounded_memory(tmp_path):
+    # the whole 67 MB text, built in memory before printing, peaked at
+    # 277 MB of RSS in a fresh process.  The command runs as the child of
+    # a small interpreter: a process keeps the peak RSS of the one it was
+    # started from, which here would be the test process's.
+    path = tmp_path / "comb.json"
+    path.write_text(render_document(comb(2000)))
+    script = (
+        "import resource, subprocess, sys\n"
+        "command = [sys.executable, '-m', 'leavitt.cli', *sys.argv[1:]]\n"
+        "subprocess.run(command, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "compseries", str(path), "--json"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+        check=True,
+    )
+    peak_kb = int(done.stdout)  # ru_maxrss is in kilobytes on Linux
+    assert peak_kb < 150 * 1024
+
+
 def fork(k):
     """A root r over two lines a0 -> ... -> a(k-1) and b0 -> ... -> b(k-1)."""
     lines = [[f"{x}{i}" for i in range(k)] for x in "ab"]
@@ -645,6 +674,24 @@ def test_rep_on_a_large_block_in_linear_time(tmp_path, capsys):
     assert lines[0] == f"dimension: {n}"
     assert lines[3].startswith(f"block 0: size {n}, irreducible: yes, paths: ")
     assert lines[4:] == [f"algebra dimension: {n * n}"]
+
+
+def test_rep_on_a_wide_star_in_linear_time(tmp_path, capsys):
+    # the walks of each of the 6,000 blocks read every entry of p_r, and
+    # the relation checks all of p_r per edge: 3.47 s in process
+    k = 6000
+    leaves = [f"t{i}" for i in range(k)]
+    g = Graph(("r", *leaves), tuple(Bundle(f"e{i}", "r", t) for i, t in enumerate(leaves)))
+    path = tmp_path / "star.json"
+    path.write_text(render_document(g))
+
+    start = time.perf_counter()
+    assert main(["rep", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"dimension: {2 * k}" and lines[2] == "relations: verified"
+    assert lines[3] == "block 0: size 2, irreducible: yes, paths: t0, e0"
+    assert len(lines) == k + 4 and lines[-1] == f"algebra dimension: {k * 4}"
 
 
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):

@@ -488,6 +488,23 @@ def test_lookups_refuse_unknown_names():
     assert str(err.value) == f"edge index must be nonnegative: {EdgeRef('e', -1)}"
 
 
+@pytest.mark.parametrize(
+    "bundle, index",
+    [("f", True), ("f", 1.0), ("h", 2.5), ("f", "1"), ("f", None)],
+    ids=["bool", "float", "float_on_omega", "str", "none"],
+)
+def test_edge_indices_must_be_ints(bundle, index):
+    # True and 1.0 were taken for edge 1 and rendered as f#True and f#1.0,
+    # 2.5 was taken on the omega bundle, "1" and None raised a bare TypeError
+    g = Graph(("u", "v", "w"), (Bundle("f", "u", "v", 2), Bundle("h", "v", "w", OMEGA)))
+    ref = EdgeRef(bundle, index)
+    message = f"edge index must be an int: {ref}"
+    for check in (g.check_edge, lambda ref: g.check_path(Path(edges=(ref,)))):
+        with pytest.raises(ContractError) as err:
+            check(ref)
+        assert str(err.value) == message
+
+
 def test_escaping_edges_refuse_an_omega_bundle():
     with pytest.raises(NotFinitelyPresentableError, match="^bundle 'h' escapes"):
         escaping_edges(OMEGA1, (), "v")

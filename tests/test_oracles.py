@@ -135,6 +135,14 @@ two are kept here (``index_edge_maps``, ``sink_path_coordinates``) and
 compared with the maps zipped from the basis and the counting proof, on
 hypothesis graphs, brooms and the sweep; the walk over every generator
 is compared with the two walks also on maps corrupted so that blocks fail.
+
+``verify_relations`` composed the partial maps, six compositions per
+edge, and never checked p_v p_w = delta_vw p_v.  That check is kept here
+(``composed_relations``), with one that multiplies out the 0/1 matrices
+of every relation family (``dense_relations``).  On maps corrupted in
+five ways, the check by domains and images refuses exactly the maps the
+matrices refuse, and wherever the projections are orthogonal it names
+the relation that the composing check names.
 """
 
 import contextlib
@@ -1025,6 +1033,127 @@ def pairwise_relations(R):
             raise InternalInvariantError("p_v = sum s_e s_e*")
 
 
+def composed_relations(R):
+    """The relation check composing the partial maps, six compositions per edge.
+
+    Per edge e: p_s(e) s_e = s_e = s_e p_r(e) and the same for s_e*,
+    s_e* is the inverse of s_e, and s_e* s_e = p_r(e).  Per regular
+    vertex: p_v is the disjoint sum of the range projections s_e s_e*.
+    The pairwise relations s_e* s_f = 0 for e != f are checked through
+    the images.  Never checks p_v p_w = delta_vw p_v.
+
+    Raises InternalInvariantError with the failing relation.
+    """
+    g = R.graph
+    maps = R._maps
+    edge_maps = R._edge_maps
+    owner: dict[int, EdgeRef] = {}
+    for ref, (e, estar) in edge_maps.items():
+        b = g.bundle(ref.bundle)
+        ps = maps[f"p_{b.source}"]
+        pr = maps[f"p_{b.range}"]
+        if _compose(ps, e) != e or _compose(e, pr) != e:
+            name = render_edge_ref(g, ref)
+            raise InternalInvariantError(f"relation p s = s = s p fails for {name}")
+        if _compose(pr, estar) != estar or _compose(estar, ps) != estar:
+            name = render_edge_ref(g, ref)
+            raise InternalInvariantError(f"relation p s* = s* = s* p fails for {name}")
+        if estar != {i: j for j, i in e.items()}:
+            name = render_edge_ref(g, ref)
+            raise InternalInvariantError(f"s_{name}* is not the inverse of s_{name}")
+        if _compose(estar, e) != pr:
+            name = render_edge_ref(g, ref)
+            raise InternalInvariantError(f"relation s*{name} s{name} fails")
+        for i in e.values():
+            first = owner.setdefault(i, ref)
+            if first != ref:
+                name = render_edge_ref(g, ref)
+                raise InternalInvariantError(
+                    f"relation s*{render_edge_ref(g, first)} s{name} fails"
+                )
+    for v in g.vertices:
+        out = g.out_bundles(v)
+        if not out:
+            continue
+        union = {}
+        for b in out:
+            for i in range(b.multiplicity):
+                e, estar = edge_maps[EdgeRef(b.name, i)]
+                piece = _compose(e, estar)
+                for j, i2 in piece.items():
+                    if j != i2 or j in union:
+                        raise InternalInvariantError(f"summands at {v!r} overlap")
+                    union[j] = i2
+        if union != maps[f"p_{v}"]:
+            raise InternalInvariantError(f"relation p_v = sum s_e s_e* fails at {v!r}")
+
+
+def dense_relations(R):
+    """The relation families that fail on R's labelled maps, multiplied out as 0/1 matrices.
+
+    "V": p_v p_w = delta_vw p_v and p_v = p_v^T; "E1": p_s(e) s_e = s_e =
+    s_e p_r(e); "E2": the same for s_e*; "adjoint": s_e* = s_e^T; "CK1":
+    s_e* s_f = delta_ef p_r(e) for every pair of edges; "CK2": p_v is the
+    sum of s_e s_e* over the edges e at each regular vertex v.
+    """
+    g = R.graph
+    n = R.dimension
+    zero = [[0] * n for _ in range(n)]
+
+    def matrix(label):
+        rows = [[0] * n for _ in range(n)]
+        for j, i in R._maps[label].items():
+            rows[i][j] = 1
+        return rows
+
+    def mul(a, b):
+        out = []
+        for row in a:
+            acc = [0] * n
+            for k, c in enumerate(row):
+                if c:
+                    acc = [x + c * y for x, y in zip(acc, b[k])]
+            out.append(acc)
+        return out
+
+    def add(a, b):
+        return [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)]
+
+    def transpose(a):
+        return [list(col) for col in zip(*a)]
+
+    p = {v: matrix(f"p_{v}") for v in g.vertices}
+    refs = g.edge_refs()
+    s = {ref: matrix(f"s_{render_edge_ref(g, ref)}") for ref in refs}
+    s_star = {ref: matrix(f"s_{render_edge_ref(g, ref)}*") for ref in refs}
+    failing = set()
+    for v in g.vertices:
+        if p[v] != transpose(p[v]):
+            failing.add("V")
+        for w in g.vertices:
+            if mul(p[v], p[w]) != (p[v] if v == w else zero):
+                failing.add("V")
+    for ref in refs:
+        ps, pr = p[g.source_of(ref)], p[g.range_of(ref)]
+        if not (mul(ps, s[ref]) == s[ref] == mul(s[ref], pr)):
+            failing.add("E1")
+        if not (mul(pr, s_star[ref]) == s_star[ref] == mul(s_star[ref], ps)):
+            failing.add("E2")
+        if s_star[ref] != transpose(s[ref]):
+            failing.add("adjoint")
+        for other in refs:
+            if mul(s_star[ref], s[other]) != (pr if other == ref else zero):
+                failing.add("CK1")
+    for v in g.vertices:
+        at_v = [ref for ref in refs if g.source_of(ref) == v]
+        total = zero
+        for ref in at_v:
+            total = add(total, mul(s[ref], s_star[ref]))
+        if at_v and total != p[v]:
+            failing.add("CK2")
+    return failing
+
+
 def all_generator_orbits(R, block_index):
     """Irreducibility walk over every generator of the representation."""
     block = R.classes[block_index]
@@ -1227,6 +1356,46 @@ def corrupt_maps(R, how, data):
             for c, block in enumerate(R.classes):
                 domain = [j for j in m if R.class_of[j] == c]
                 m.update(zip(domain, data.draw(st.permutations(block))))
+
+
+def widen_maps(R, how, data):
+    """Set one entry of a map to any position, or copy the positions of a
+    projection into another map; either may give a map new positions."""
+    labels = R.generator_labels()
+    hypothesis.assume(len(labels) > 1)
+    if how == "set entry":
+        n = R.dimension
+        m = R._maps[data.draw(st.sampled_from(labels))]
+        m[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    else:
+        p = data.draw(st.sampled_from([f"p_{v}" for v in R.graph.vertices]))
+        R._maps[data.draw(st.sampled_from([label for label in labels if label != p]))].update(R._maps[p])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.one_of(acyclic_graphs(), trees()),
+    st.sampled_from(["clear stars", "leave", "permute", "set entry", "copy projection"]),
+    st.data(),
+)
+def test_relation_checks_match_dense_relations_on_corrupted_maps(g, how, data):
+    """verify_relations refuses exactly the maps on which some relation
+    fails as matrices; where the projections are orthogonal, which the
+    composing check takes for granted, it names the same failure."""
+    R = build_rho(g)
+    hypothesis.assume(R.dimension <= 120)
+    (widen_maps if how in ("set entry", "copy projection") else corrupt_maps)(R, how, data)
+    failing = dense_relations(R)
+    outcomes = []
+    for check in (verify_relations, composed_relations):
+        try:
+            check(R)
+            outcomes.append(None)
+        except InternalInvariantError as exc:
+            outcomes.append(str(exc))
+    assert (outcomes[0] is not None) == bool(failing)
+    if "V" not in failing:
+        assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=120, deadline=None, database=None)
