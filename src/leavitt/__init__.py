@@ -109,6 +109,7 @@ from .repn import (
     hom_space_dim,
     lambda_index_set,
     lambda_size,
+    lambda_texts,
     matrix_units,
     naimark_isomorphism,
     verify_irreducible_block,

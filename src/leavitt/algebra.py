@@ -44,6 +44,7 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _edge_head,
     _postorder,
     _tails,
     breaking_vertices,
@@ -247,12 +248,12 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     _require_acyclic_finite(g, "normal form")
     ranges = [_check_monomial(g, m) for m, _ in x.terms]
     # children first over the descendants of the ranges: each after the ranges of its bundles
-    tails = _tails(g, _postorder(g._succ, ranges), singular_vertices(g), {})[0]
+    tails = _tails(g, _postorder(g._succ, ranges), singular_vertices(g), {}, _edge_head, ())[0]
     return _normalized(
         (Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m, c)
         for (m, c), v in zip(x.terms, ranges)
-        for edges, _ in tails[v]
-        for e in edges
+        for rows in tails[v]
+        for e in rows
     )
 
 

@@ -195,4 +195,4 @@ def render_boundary_path(g: Graph, b: BoundaryPath) -> str:
 
 def finite_boundary_paths(g: Graph) -> tuple[BoundaryPath, ...]:
     """All finite boundary paths, sorted; requires every singular class finite."""
-    return tuple(BoundaryPath(p, None) for p in _paths_ending(g, singular_vertices(g), {})[0])
+    return tuple(BoundaryPath(p, None) for p in _paths_ending(g, singular_vertices(g), {}))

@@ -45,7 +45,7 @@ from .ideals import enumerate_admissible_pairs
 from .naimark import composition_series, naimark_decision, trichotomy
 from .repn import (
     build_rho,
-    lambda_index_set,
+    lambda_texts,
     verify_irreducible_block,
     verify_relations,
 )
@@ -264,7 +264,7 @@ def cmd_naimark(g: Graph, args) -> int:
     if args.json:
         lam = None
         if report.holds:
-            lam = lambda_index_set(g, report.witness, texts=True)[3]
+            lam = lambda_texts(g, report.witness)
             if len(lam) != report.lam_size:
                 raise InternalInvariantError("the listed index set differs from its count")
         _emit(

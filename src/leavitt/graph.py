@@ -452,6 +452,8 @@ def _ordered(g: Graph, vs) -> tuple[str, ...]:
 
 
 def _check_subset(g: Graph, hs) -> set:
+    if isinstance(hs, str):
+        raise ContractError(f"a vertex set must be a collection of names, not the string {hs!r}")
     h = set(hs)
     for v in h.difference(g._position):
         g.vertex_index(v)  # raises UnknownNameError
@@ -708,13 +710,28 @@ def _count_through(count: dict, bundles) -> int | None:
     return sum(b.multiplicity * count[b.source] for b in bundles)
 
 
-def _paths_ending(g: Graph, stops, exits: dict) -> tuple[list[Path], list[str]]:
-    """Every path into a vertex of ``stops`` or ending with an edge of ``exits``, with its text.
+def _paths_ending(g: Graph, stops, exits: dict) -> list[Path]:
+    """Every path into a vertex of ``stops`` or ending with an edge of ``exits``.
 
     ``exits`` maps a vertex to bundles leaving it, whose ancestry must be acyclic with
     finite multiplicities; a stop with infinitely many paths raises.  The paths come in
-    ``path_key`` order, and the texts as ``render_path`` gives them.
+    ``path_key`` order.
     """
+    rows = _rows(g, stops, exits, _edge_head, ())
+    # an edge row is never empty, so it makes a valid path without Path's check
+    return [*map(vertex_path, sorted(stops)), *[tuple.__new__(Path, (None, e)) for e in rows]]
+
+
+def _edge_head(b: Bundle, i: int) -> tuple[EdgeRef]:
+    return (EdgeRef(b.name, i),)
+
+
+def _text_head(b: Bundle, i: int) -> str:
+    return b.name if b.multiplicity == 1 else f"{b.name}#{i}"
+
+
+def _rows(g: Graph, stops, exits: dict, head, empty) -> list:
+    """The rows (``_tails``) of the positive-length paths ``_paths_ending`` lists, in order."""
     for v in stops:
         if count_paths_into(g, v) is None:
             raise NotFinitelyPresentableError(
@@ -722,52 +739,49 @@ def _paths_ending(g: Graph, stops, exits: dict) -> tuple[list[Path], list[str]]:
             )
     ancestors = _postorder(g._pred, [*stops, *exits])
     # reversed, the order lists every ancestor after the ranges of its bundles
-    _, firsts = _tails(g, reversed(ancestors), stops, exits)
-    texts = sorted(stops)
-    paths = [vertex_path(v) for v in texts]
-    for edges, strs in _extend(firsts):
-        paths += [Path(edges=e) for e in edges]
-        texts += strs
-    return paths, texts
+    _, firsts = _tails(g, reversed(ancestors), stops, exits, head, empty)
+    return [row for rows in _joined(firsts) for row in rows]
 
 
-def _tails(g: Graph, order, stops, exits: dict) -> tuple[dict[str, list], list]:
-    """Each vertex u of ``order`` -> its paths (``_paths_ending``) by length; and every step.
+def _tails(g: Graph, order, stops, exits: dict, head, empty) -> tuple[dict[str, list], list]:
+    """Each vertex u of ``order`` -> the rows of its paths (``_rows``) by length; every step.
 
-    Entry n holds the edge tuples and texts of u's paths of length n, in ``path_key`` order;
-    a vertex path has the empty text.  A step is a bundle that starts paths, with the paths
-    after it (after an exit, the empty path).  ``order`` lists each vertex after the ranges
-    of its bundles that it lists at all; a range it leaves out has no paths.
+    A path's row is ``head(b, i)`` of its first edge, edge i of bundle b, plus the row of
+    the rest; a vertex path's row is ``empty``.  Entry n holds the rows of u's paths of
+    length n, in ``path_key`` order.  A step is a bundle that starts paths, with their
+    rows by length from 1 (after an exit, the one-edge rows).  ``order`` lists each vertex
+    after the ranges of its bundles that it lists at all; a range it leaves out has no
+    paths.  Each row is built once.
     """
     stops = set(stops)
     tails, firsts = {}, []
     for u in order:
-        steps = [(b, tails[b.range]) for b in g._out[u] if b.range in tails]
-        if u in exits:
-            steps += [(b, [([()], [""])]) for b in exits[u]]
-        tails[u] = [([()], [""]) if u in stops else ([], [])] + _extend(steps)
+        steps = [(b, _extend(b, tails[b.range], head)) for b in g._out[u] if b.range in tails]
+        steps += [(b, _extend(b, [[empty]], head)) for b in exits.get(u, ())]
+        tails[u] = [[empty] if u in stops else []] + _joined(steps)
         firsts += steps
     return tails, firsts
 
 
-def _extend(steps) -> list[tuple[list, list]]:
-    """The paths e p for each step (b, paths by length), e an edge of b: by length from 1.
+def _extend(b: Bundle, after: list, head) -> list[list]:
+    """The rows of the paths e p by length, e an edge of ``b`` and p a path of ``after``."""
+    heads = [head(b, i) for i in range(b.multiplicity)]
+    return [[h + t for h in heads for t in tails] for tails in after]
 
-    Sorting only the first edges, by (name, index), keeps each length in ``path_key`` order.
+
+def _joined(steps) -> list[list]:
+    """The rows of ``steps`` merged by length, each length in ``path_key`` order.
+
+    Edges compare by (name, index), so sorting the steps by bundle name suffices.  One
+    step's lists are returned as they are: no list of rows changes once it is made.
     """
-    if len(steps) > 1:
-        steps.sort(key=lambda step: step[0].name)
-    out = []
-    for b, after in steps:
-        while len(out) < len(after):
-            out.append(([], []))
-        m = b.multiplicity
-        for i in range(m):
-            head, text = (EdgeRef(b.name, i),), b.name if m == 1 else f"{b.name}#{i}"
-            for (tails, strs), (edges, texts) in zip(after, out):
-                if tails:
-                    edges += [head + e for e in tails]
-                    texts += [text + t for t in strs]
+    if len(steps) < 2:
+        return steps[0][1] if steps else []
+    steps.sort(key=lambda step: step[0].name)
+    out = [[] for _ in range(max(len(made) for _, made in steps))]
+    for _, made in steps:
+        for rows, more in zip(out, made):
+            rows += more
     return out
 
 
@@ -786,7 +800,7 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
 
     Raises when the set is infinite (see ``count_paths_into``).
     """
-    return tuple(_paths_ending(g, (v,), {})[0])
+    return tuple(_paths_ending(g, (v,), {}))
 
 
 # -- paths entering a vertex set -------------------------------------------
@@ -816,12 +830,13 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
     When they are infinitely many, raises NotFinitelyPresentableError
     naming a witness; ``what`` names ``t`` in that message.
     """
-    return tuple(_entry_listing(g, t, what)[0])
+    exits = _entry_exits(g, t, what)
+    return tuple(_paths_ending(g, (), exits)) if exits else ()
 
 
-def _entry_listing(g: Graph, t, what: str) -> tuple[list[Path], list[str]]:
-    """``entry_paths`` with the text of each path."""
-    exits = {}  # source of an entering bundle -> the entering bundles
+def _entry_exits(g: Graph, t, what: str) -> dict[str, list[Bundle]]:
+    """The ``exits`` that list ``entry_paths``: each source of a bundle entering ``t`` -> those."""
+    exits = {}
     for b in _entering(g, t):
         reason = None
         if is_omega(b.multiplicity):
@@ -835,4 +850,4 @@ def _entry_listing(g: Graph, t, what: str) -> tuple[list[Path], list[str]]:
         if reason:
             raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
         exits.setdefault(b.source, []).append(b)
-    return _paths_ending(g, (), exits) if exits else ([], [])
+    return exits

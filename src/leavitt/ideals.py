@@ -19,10 +19,11 @@ from .graph import (
     Graph,
     VertexClass,
     _breaking_vertices,
-    _entry_listing,
     _ordered,
+    entry_paths,
     is_hereditary,
     is_saturated,
+    render_path,
     saturate,
 )
 
@@ -117,16 +118,15 @@ def ideal_graph(g: Graph, h) -> Graph:
     if not is_hereditary(g, hset):
         raise ContractError("ideal graphs are built from hereditary sets")
     hbar = saturate(g, hset)
-    entries, texts = _entry_listing(g, hbar, "the saturation")
-    taken = set(hbar)
+    taken, entries = set(hbar), []
     bundles = [b for b in g.bundles if b.source in taken]
-    # bundle names never contain '#', so this keeps entry names valid
-    entry_names = [(_fresh(s.replace("#", "_"), taken), p) for p, s in zip(entries, texts)]
     bundle_names = {b.name for b in bundles}
-    for name, p in entry_names:
-        ename = _fresh(name, bundle_names)
-        bundles.append(Bundle(ename, name, g.path_range(p), 1))
-    return Graph(hbar + tuple(n for n, _ in entry_names), tuple(bundles))
+    for p in entry_paths(g, hbar, "the saturation"):
+        # bundle names never contain '#', so this keeps entry names valid
+        name = _fresh(render_path(g, p).replace("#", "_"), taken)
+        bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))
+        entries.append(name)
+    return Graph(hbar + tuple(entries), tuple(bundles))
 
 
 def _closed(ranges, m: int) -> int:

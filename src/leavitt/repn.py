@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
@@ -31,11 +32,14 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
-    _entry_listing,
+    _entry_exits,
     _paths_ending,
     _postorder,
+    _rows,
+    _text_head,
     concat,
     count_entry_paths,
+    entry_paths,
     line_through,
     render_edge_ref,
     saturate,
@@ -51,21 +55,19 @@ class BoundaryRepresentation:
     """The boundary-path representation of an acyclic finite-multiplicity graph.
 
     Immutable after construction.  ``basis`` lists the boundary paths in
-    ``path_key`` order and ``texts`` their texts, as ``render_path`` gives
-    them; ``classes`` partitions basis positions by shift-tail class (one block
-    per sink, in vertex order); ``block_labels`` lists, per block, the
-    generators whose map is defined somewhere in it, in label order.  The
-    private ``_acting`` maps each of those labels, per block, to the
-    positions of the block where its map is defined.
+    ``path_key`` order and ``texts``, listed on first read, their texts, as
+    ``render_path`` gives them; ``classes`` partitions basis positions by
+    shift-tail class (one block per sink, in vertex order); ``block_labels``
+    lists, per block, the generators whose map is defined somewhere in it,
+    in label order.  The private ``_acting`` maps each of those labels, per
+    block, to the positions of the block where its map is defined.
     """
 
     def __init__(self, g: Graph):
         _require_acyclic_finite(g, "the representation")
         self.graph = g
         sinks = singular_vertices(g)
-        basis, texts = _paths_ending(g, sinks, {})
-        self.basis = tuple(basis)
-        self.texts = tuple(texts)
+        self.basis = basis = tuple(_paths_ending(g, sinks, {}))
         block_of = {t: c for c, t in enumerate(sinks)}
         self.class_of = class_of = [block_of[g.path_range(p)] for p in basis]
         blocks = [[] for _ in sinks]
@@ -98,6 +100,11 @@ class BoundaryRepresentation:
                 acting[class_of[j]].setdefault(label, []).append(j)
         self._acting = tuple(acting)
         self.block_labels = tuple(map(tuple, acting))
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        sinks = singular_vertices(self.graph)
+        return (*sorted(sinks), *_rows(self.graph, sinks, {}, _text_head, ""))
 
     @property
     def dimension(self) -> int:
@@ -414,18 +421,25 @@ def monomial_of(sys: MatrixUnitSystem, i: int, j: int) -> Monomial:
     return Monomial(alpha, beta)
 
 
-def lambda_index_set(g: Graph, v: str, *, texts: bool = False) -> tuple:
+def lambda_index_set(g: Graph, v: str) -> tuple:
     """The line through ``v``, its edges and the index set of its matrix units.
 
     The index set contains one length-0 path per line vertex plus, in
     ``path_key`` order, every path whose last edge enters the line from
-    outside (no shorter prefix already ends on the line).  With ``texts``,
-    a fourth entry holds the members' texts.  Raises when the set is infinite.
+    outside (no shorter prefix already ends on the line).  Raises when the
+    set is infinite.
     """
     chain, edges = line_through(g, v)
-    entries, entry_texts = _entry_listing(g, chain, "the line")
-    lam = tuple(vertex_path(w) for w in chain) + tuple(entries)
-    return (chain, edges, lam, chain + tuple(entry_texts)) if texts else (chain, edges, lam)
+    return chain, edges, tuple(map(vertex_path, chain)) + entry_paths(g, chain, "the line")
+
+
+def lambda_texts(g: Graph, v: str) -> tuple[str, ...]:
+    """The texts of ``lambda_index_set``'s index set, as ``render_path`` gives them.
+
+    Lists text rows only: no member is built as a path.
+    """
+    chain, _ = line_through(g, v)
+    return (*chain, *_rows(g, (), _entry_exits(g, chain, "the line"), _text_head, ""))
 
 
 def lambda_size(g: Graph, v: str) -> int | None:

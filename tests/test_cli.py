@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import leavitt.graph
 from leavitt import FIXTURES, OMEGA, Bundle, Graph
 from leavitt.cli import (
     SchemaError,
@@ -659,6 +660,20 @@ def test_naimark_json_lists_lambda_in_output_sized_time(tmp_path, capsys):
     assert len(set(doc["lambda"])) == len(doc["lambda"])
 
 
+def test_naimark_json_lists_lambda_of_a_16_diamond_chain_in_under_a_second(tmp_path, capsys):
+    # listing every member as an edge tuple, a Path and a text took 1.4 s
+    # in process on a 2-core VM
+    k = 16
+    path = tmp_path / "diamonds.json"
+    path.write_text(render_document(diamond_chain(k)))
+
+    start = time.perf_counter()
+    assert main(["naimark", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda_size"] == len(doc["lambda"]) == 2 ** (k + 2) - 3
+
+
 def test_rep_on_a_large_block_in_linear_time(tmp_path, capsys):
     # one orbit walk per start of the 4,093-path block took 6.4 s in
     # process on a 2-core VM
@@ -694,21 +709,56 @@ def test_rep_on_a_wide_star_in_linear_time(tmp_path, capsys):
     assert len(lines) == k + 4 and lines[-1] == f"algebra dimension: {k * 4}"
 
 
+def patch_everywhere(monkeypatch, function, replacement):
+    """Replace ``function`` under every name any leavitt module holds it by; return those names."""
+    names = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "leavitt" or module_name.startswith("leavitt."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, replacement)
+                    names.append(f"{module_name}.{attr}")
+    return names
+
+
+def naimark_outputs(capsys, *flags):
+    outputs = {}
+    for name in FIXTURES:
+        code = main(["naimark", "--fixture", name, *flags])
+        outputs[name] = code, capsys.readouterr()
+    return outputs
+
+
 def test_text_naimark_never_lists_lambda(monkeypatch, capsys):
-    expected = {}
-    for name in FIXTURES:
-        code = main(["naimark", "--fixture", name])
-        expected[name] = code, capsys.readouterr()
+    expected = naimark_outputs(capsys)
 
-    def refuse(g, v):
-        raise AssertionError("text mode listed Lambda")
+    def refuse(*args):
+        raise AssertionError("text mode listed paths")
 
-    for module in ("leavitt.repn", "leavitt.naimark", "leavitt.cli"):
-        monkeypatch.setattr(f"{module}.lambda_index_set", refuse, raising=False)
-    for name in FIXTURES:
-        code = main(["naimark", "--fixture", name])
-        assert (code, capsys.readouterr()) == expected[name]
+    patched = patch_everywhere(monkeypatch, leavitt.graph._tails, refuse)
+    assert {"leavitt.graph._tails", "leavitt.algebra._tails"} <= set(patched)
+    assert naimark_outputs(capsys) == expected
     assert expected["LINE3"][0] == 0
+
+
+def test_json_naimark_lists_lambda_as_text_rows_only(monkeypatch, capsys):
+    expected = naimark_outputs(capsys, "--json")
+    walk, heads = leavitt.graph._tails, []
+
+    def recording(g, order, stops, exits, head, empty):
+        heads.append(head)
+        return walk(g, order, stops, exits, head, empty)
+
+    def refuse(*args):
+        raise AssertionError("naimark --json built paths")
+
+    assert "leavitt.graph._tails" in patch_everywhere(monkeypatch, walk, recording)
+    patched = patch_everywhere(monkeypatch, leavitt.graph._paths_ending, refuse)
+    assert {"leavitt.graph._paths_ending", "leavitt.repn._paths_ending"} <= set(patched)
+    assert naimark_outputs(capsys, "--json") == expected
+    assert heads and set(heads) == {leavitt.graph._text_head}
+    doc = json.loads(expected["LINE3"][1].out)
+    assert doc["lambda"] == ["u", "v", "w"] and doc["lambda_size"] == 3
 
 
 # -- exit codes -------------------------------------------------------------------

@@ -42,6 +42,7 @@ from leavitt.errors import (
     UnknownNameError,
 )
 from leavitt.graph import (
+    count_entry_paths,
     escaping_edges,
     line_through,
     out_degree,
@@ -349,6 +350,19 @@ def test_unknown_vertex_in_a_set_is_refused():
         is_hereditary(LINE3, {"w", "nope"})
     with pytest.raises(UnknownNameError, match="unknown vertex 'nope'"):
         saturate(LINE3, {"w", "nope"})
+
+
+def test_a_bare_string_is_not_a_vertex_set():
+    # read as a set, "ab" would be {"a", "b"}: two entry paths, and hereditary
+    g = Graph(("ab", "a", "b"), (Bundle("e", "ab", "a"), Bundle("f", "ab", "b")))
+    message = "a vertex set must be a collection of names, not the string 'ab'"
+    for call in (count_entry_paths, is_hereditary, is_saturated, saturate, breaking_vertices):
+        with pytest.raises(ContractError, match=message):
+            call(g, "ab")
+    with pytest.raises(ContractError, match=message):
+        escaping_edges(g, "ab", "ab")
+    assert count_entry_paths(g, ("ab",)) == 0 and count_entry_paths(g, ("a", "b")) == 2
+    assert not is_hereditary(g, ("ab",))
 
 
 def test_saturation_stages_grow_to_fixed_point():

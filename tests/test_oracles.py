@@ -202,11 +202,14 @@ from leavitt.graph import (  # noqa: E402
     Graph,
     Path,
     VertexClass,
+    _edge_head,
     _entering,
-    _entry_listing,
+    _entry_exits,
     _least_rotation,
     _paths_ending,
     _postorder,
+    _rows,
+    _text_head,
     breaking_vertices,
     bundle_circuits,
     classify_vertex,
@@ -848,7 +851,7 @@ def sink_path_coordinates(g, sys):
     line_edges = set(sys.line_edges)
     seen = bytearray(n)
     coordinates = []
-    for p in _paths_ending(g, (end,), {})[0]:
+    for p in _paths_ending(g, (end,), {}):
         k = p.length
         while k and p.edges[k - 1] in line_edges:
             k -= 1
@@ -2270,6 +2273,23 @@ def sorted_listing(g, ends):
     return paths, [render_path(g, p) for p in paths]
 
 
+def listed_texts(g, stops, exits):
+    """The texts of ``_paths_ending(g, stops, exits)``, listed as text rows."""
+    return sorted(stops) + _rows(g, stops, exits, _text_head, "")
+
+
+def assert_listing(g, stops, exits, paths, expected):
+    """Both kinds of rows against ``sorted_listing``'s ``expected`` (paths, texts).
+
+    ``paths`` is the listing of edge rows as paths; the text rows must be
+    its texts, and ``render_path`` of the edge rows.
+    """
+    assert (paths, listed_texts(g, stops, exits)) == expected
+    text_rows = _rows(g, stops, exits, _text_head, "")
+    edge_rows = _rows(g, stops, exits, _edge_head, ())
+    assert text_rows == [render_path(g, Path(edges=e)) for e in edge_rows]
+
+
 def check_listings(g, each_vertex=True):
     """Compare the ordered listings with ``sorted_listing``; return how many were compared.
 
@@ -2283,8 +2303,8 @@ def check_listings(g, each_vertex=True):
     for stops in [(v,) for v in g.vertices if each_vertex] + [singular_vertices(g)]:
         counts = [count_paths_into(g, v) for v in stops]
         if None not in counts and sum(counts) <= limit:
-            listed = _paths_ending(g, stops, {})
-            assert listed == sorted_listing(g, {v: [()] for v in stops})
+            expected = sorted_listing(g, {v: [()] for v in stops})
+            assert_listing(g, stops, {}, _paths_ending(g, stops, {}), expected)
             compared += 1
     sets = {line_through(g, v)[0] for v in line_points(g)}
     sets.update(saturate(g, tree_of(g, v)) for v in g.vertices)
@@ -2295,7 +2315,9 @@ def check_listings(g, each_vertex=True):
             for b in _entering(g, t):
                 refs = [(EdgeRef(b.name, i),) for i in range(b.multiplicity)]
                 ends.setdefault(b.source, []).extend(refs)
-            assert _entry_listing(g, t, "the set") == sorted_listing(g, ends)
+            paths = list(entry_paths(g, t, "the set"))
+            exits = _entry_exits(g, t, "the set")
+            assert_listing(g, (), exits, paths, sorted_listing(g, ends))
             compared += 1
     return compared
 
@@ -2313,9 +2335,15 @@ def test_listings_order_edge_indices_numerically():
         (Bundle("e2", "u", "v", 12), Bundle("e10", "u", "v"), Bundle("f", "v", "w", 11)),
     )
     assert check_listings(g) == 6
-    texts = _paths_ending(g, ("w",), {})[1]
+    texts = listed_texts(g, ("w",), {})
     assert texts[1:3] == ["f#0", "f#1"] and texts[11] == "f#10"
     assert texts[12:14] == ["e10f#0", "e10f#1"] and texts[23] == "e2#0f#0"
+    paths = _paths_ending(g, ("w",), {})
+    assert [p.edges for p in paths[11:13]] == [
+        (EdgeRef("f", 10),),
+        (EdgeRef("e10"), EdgeRef("f")),
+    ]
+    assert paths[23].edges == (EdgeRef("e2"), EdgeRef("f"))
 
 
 def test_listings_match_sorted_listing_on_the_acyclic_sweep():

@@ -47,7 +47,7 @@ from leavitt.errors import (
     UnknownNameError,
     UnsupportedGraphError,
 )
-from leavitt.graph import Path, path_key, paths_into, vertex_path
+from leavitt.graph import Path, path_key, paths_into, render_path, vertex_path
 from leavitt.naimark import check_condition5
 from leavitt.repn import _verify_units, monomial_of
 
@@ -97,6 +97,17 @@ def test_basis_line3():
     assert R.basis[1] == Path(edges=(EdgeRef("f", 0),))
     assert R.basis[2] == Path(edges=(EdgeRef("e", 0), EdgeRef("f", 0)))
     assert rendered[0] == "w"
+
+
+def test_texts_are_listed_on_first_read():
+    # only the rep command prints the basis; building and checking R lists no text
+    for g in FIXTURES.values():
+        if has_cycle(g) or any(is_omega(b.multiplicity) for b in g.bundles):
+            continue
+        R = build_rho(g)
+        verify_relations(R)
+        assert "texts" not in vars(R)
+        assert R.texts == tuple(render_path(g, p) for p in R.basis)
 
 
 def test_generator_maps_line3():
