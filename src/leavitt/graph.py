@@ -462,14 +462,22 @@ def _check_subset(g: Graph, hs) -> set:
 
 def is_hereditary(g: Graph, h) -> bool:
     """True iff every edge with source in ``h`` has range in ``h``."""
-    hset = _check_subset(g, h)
+    return _hereditary(g, _check_subset(g, h))
+
+
+def _hereditary(g: Graph, hset) -> bool:
+    """``is_hereditary`` of a set the caller has already validated."""
     out = g._out
     return all(b.range in hset for v in hset for b in out[v])
 
 
 def is_saturated(g: Graph, h) -> bool:
     """True iff every regular vertex whose outgoing ranges all lie in ``h`` is in ``h``."""
-    hset = _check_subset(g, h)
+    return _saturated(g, _check_subset(g, h))
+
+
+def _saturated(g: Graph, hset) -> bool:
+    """``is_saturated`` of a set the caller has already validated."""
     succ, regular = g._succ, VertexClass.REGULAR
     return not any(
         c is regular and v not in hset and hset.issuperset(succ[v]) for v, c in g._classes.items()
@@ -477,18 +485,24 @@ def is_saturated(g: Graph, h) -> bool:
 
 
 def _joining_rounds(g: Graph, h) -> dict[str, int]:
-    """Each vertex of the saturation of the hereditary set ``h`` -> the round it joins.
+    """``_rounds`` of ``h``, after checking that it is a hereditary vertex set."""
+    hset = _check_subset(g, h)
+    if not _hereditary(g, hset):
+        raise ContractError("saturation requires a hereditary set")
+    return _rounds(g, hset)
+
+
+def _rounds(g: Graph, hset) -> dict[str, int]:
+    """Each vertex of the saturation of the hereditary set ``hset`` -> the round it joins.
 
     A round adjoins each regular vertex whose edges all land in the set so
-    far: ``h`` joins in round 0, a regular vertex one round after its last
-    successor.  The set stays hereditary, so a vertex on a cycle never
+    far: ``hset`` joins in round 0, a regular vertex one round after its
+    last successor.  The set stays hereditary, so a vertex on a cycle never
     joins: its successor on the cycle would join first, and reaches it.
     Off every cycle a vertex comes after all its successors in the walk
-    order, so one pass over it finds every round: O(n + m).
+    order, so one pass over it finds every round: O(n + m).  The caller
+    has validated ``hset``.
     """
-    hset = _check_subset(g, h)
-    if not is_hereditary(g, hset):
-        raise ContractError("saturation requires a hereditary set")
     succ, cyclic, classes, regular = g._succ, g._cyclic, g._classes, VertexClass.REGULAR
     rounds = {}
     for v in g._order:
@@ -527,7 +541,7 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
     complement has infinitely many escaping edges.
     """
     hset = _check_subset(g, h)
-    if not is_hereditary(g, hset) or not is_saturated(g, hset):
+    if not _hereditary(g, hset) or not _saturated(g, hset):
         raise ContractError("breaking vertices are defined for saturated hereditary sets")
     return _breaking_vertices(g, hset)
 
@@ -806,9 +820,11 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
 # -- paths entering a vertex set -------------------------------------------
 
 
-def _entering(g: Graph, t) -> list[Bundle]:
-    """The bundles with range in ``t`` and source outside it, in declared order."""
-    tset = _check_subset(g, t)
+def _entering(g: Graph, tset) -> list[Bundle]:
+    """The bundles with range in ``tset`` and source outside it, in declared order.
+
+    The caller has validated ``tset``.
+    """
     at = sorted(g._bundle_at[b.name] for v in tset for b in g._into[v] if b.source not in tset)
     return [g.bundles[i] for i in at]
 
@@ -821,7 +837,7 @@ def count_entry_paths(g: Graph, t) -> int | None:
     infinite: an omega bundle enters ``t`` or a cycle or omega bundle
     feeds one of those sources.
     """
-    return _count_through(g._path_counts, _entering(g, t))
+    return _count_through(g._path_counts, _entering(g, _check_subset(g, t)))
 
 
 def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
@@ -830,14 +846,17 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
     When they are infinitely many, raises NotFinitelyPresentableError
     naming a witness; ``what`` names ``t`` in that message.
     """
-    exits = _entry_exits(g, t, what)
+    exits = _entry_exits(g, _check_subset(g, t), what)
     return tuple(_paths_ending(g, (), exits)) if exits else ()
 
 
-def _entry_exits(g: Graph, t, what: str) -> dict[str, list[Bundle]]:
-    """The ``exits`` that list ``entry_paths``: each source of a bundle entering ``t`` -> those."""
+def _entry_exits(g: Graph, tset, what: str) -> dict[str, list[Bundle]]:
+    """The ``exits`` that list ``entry_paths``: each source of a bundle entering ``tset`` -> those.
+
+    The caller has validated ``tset``.
+    """
     exits = {}
-    for b in _entering(g, t):
+    for b in _entering(g, tset):
         reason = None
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"

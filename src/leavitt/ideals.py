@@ -19,15 +19,20 @@ from .graph import (
     Graph,
     VertexClass,
     _breaking_vertices,
+    _check_subset,
+    _entry_exits,
+    _hereditary,
     _ordered,
-    entry_paths,
-    is_hereditary,
-    is_saturated,
+    _paths_ending,
+    _rounds,
+    _saturated,
     render_path,
-    saturate,
 )
 
 PAIR_ENUMERATION_LIMIT = 20
+
+# The graph with no vertices, returned for every derived graph that is empty.
+_EMPTY = Graph(())
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,11 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
 
 def _checked_pair(g: Graph, h, s) -> tuple[AdmissiblePair, tuple[str, ...]]:
     """``admissible_pair`` plus the breaking vertices of ``h``, validating ``h`` once."""
-    hset = set(h)
+    hset = _check_subset(g, h)
     sset = set(s)
-    if not is_hereditary(g, hset):
+    if not _hereditary(g, hset):
         raise ContractError("H must be hereditary")
-    if not is_saturated(g, hset):
+    if not _saturated(g, hset):
         raise ContractError("H must be saturated")
     breaking = _breaking_vertices(g, hset)
     if not sset <= set(breaking):
@@ -72,9 +77,19 @@ def quotient_with_map(g: Graph, pair: AdmissiblePair) -> tuple[Graph, dict[str, 
 
     Each quotient vertex maps to ("real", v) for a surviving vertex of
     the original graph or ("gap", v) for the sink standing in for the gap
-    projection of a breaking vertex v outside S.
+    projection of a breaking vertex v outside S.  When H is empty the
+    quotient is ``g`` itself, and when H is every vertex it is the empty
+    graph; the map is a new dict on every call.
     """
     pair, breaking = _checked_pair(g, pair.h, pair.s)
+    if not pair.h:
+        # Every infinite emitter has an omega bundle escaping the empty set, so
+        # nothing breaks it (S is empty too), no gap sink is added and every
+        # vertex and bundle survives in declared order: the quotient is g.
+        return g, {v: ("real", v) for v in g.vertices}
+    if len(pair.h) == len(g.vertices):
+        # Nothing escapes V, so no vertex breaks it: no survivor, no gap sink.
+        return _EMPTY, {}
     hset = set(pair.h)
     gaps = [v for v in breaking if v not in pair.s]
     kept = [v for v in g.vertices if v not in hset]
@@ -112,16 +127,26 @@ def ideal_graph(g: Graph, h) -> Graph:
     ``h`` is saturated internally.  The result keeps the saturation and
     its internal edges, and adjoins one source vertex per path that first
     enters the saturation through its last edge, with a single edge from
-    that vertex to the path's range.
+    that vertex to the path's range.  When the saturation is every vertex
+    the result is ``g`` itself, and when it is empty the empty graph.
     """
-    hset = set(h)
-    if not is_hereditary(g, hset):
+    hset = _check_subset(g, h)
+    if not _hereditary(g, hset):
         raise ContractError("ideal graphs are built from hereditary sets")
-    hbar = saturate(g, hset)
+    rounds = _rounds(g, hset)
+    if len(rounds) == len(g.vertices):
+        # No bundle enters V, so there is no entry vertex, and every bundle
+        # has its source in V: the vertices and bundles are g's, in order.
+        return g
+    if not rounds:
+        # No bundle has its source in, or enters, the empty set.
+        return _EMPTY
+    hbar = _ordered(g, rounds)
     taken, entries = set(hbar), []
     bundles = [b for b in g.bundles if b.source in taken]
     bundle_names = {b.name for b in bundles}
-    for p in entry_paths(g, hbar, "the saturation"):
+    exits = _entry_exits(g, rounds, "the saturation")
+    for p in _paths_ending(g, (), exits) if exits else ():
         # bundle names never contain '#', so this keeps entry names valid
         name = _fresh(render_path(g, p).replace("#", "_"), taken)
         bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))

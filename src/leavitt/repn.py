@@ -439,7 +439,7 @@ def lambda_texts(g: Graph, v: str) -> tuple[str, ...]:
     Lists text rows only: no member is built as a path.
     """
     chain, _ = line_through(g, v)
-    return (*chain, *_rows(g, (), _entry_exits(g, chain, "the line"), _text_head, ""))
+    return (*chain, *_rows(g, (), _entry_exits(g, set(chain), "the line"), _text_head, ""))
 
 
 def lambda_size(g: Graph, v: str) -> int | None:

@@ -39,6 +39,20 @@ def pair(g, h, s=()):
 # -- admissible pairs ---------------------------------------------------------
 
 
+def test_a_bare_string_is_not_h():
+    # read as a set, "ab" would be {"a", "b"}, which is hereditary and saturates to g
+    g = Graph(("ab", "a", "b"), (Bundle("e", "ab", "a"), Bundle("f", "ab", "b")))
+    message = "a vertex set must be a collection of names, not the string 'ab'"
+    for call in (
+        lambda: ideal_graph(g, "ab"),
+        lambda: admissible_pair(g, "ab"),
+        lambda: quotient_with_map(g, AdmissiblePair("ab")),
+    ):
+        with pytest.raises(ContractError, match=message):
+            call()
+    assert ideal_graph(g, ("a", "b")) is g
+
+
 def test_admissible_pair_validation():
     p = pair(FORK, {"v"})
     assert p.h == ("v",) and p.s == ()
@@ -111,6 +125,38 @@ def test_quotient_trivial_pairs():
     assert quotient_graph(FORK, pair(FORK, ())) == FORK
     full = quotient_graph(FORK, pair(FORK, FORK.vertices))
     assert full.vertices == () and full.bundles == ()
+
+
+def test_trivial_derived_graphs_build_no_graph(monkeypatch):
+    empty = Graph(())
+    built = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for g in FIXTURES.values():
+        assert ideal_graph(g, g.vertices) is g
+        assert ideal_graph(g, ()) == empty
+        q, origin = quotient_with_map(g, pair(g, ()))
+        assert q is g and origin == {v: ("real", v) for v in g.vertices}
+        assert quotient_with_map(g, pair(g, g.vertices)) == (empty, {})
+    assert ideal_graph(LINE3, {"w"}) is LINE3  # {w} saturates to every vertex
+    assert built == []
+    ideal_graph(FORK, {"v"})
+    quotient_graph(FORK, pair(FORK, {"v"}))
+    assert len(built) == 2  # every other derived graph is still built
+
+
+def test_identity_quotient_origin_is_fresh_on_each_call():
+    for h in ((), FORK.vertices):
+        origin = quotient_with_map(FORK, pair(FORK, h))[1]
+        expected = dict(origin)
+        origin["u"] = ("gap", "u")
+        origin["x"] = ("real", "x")
+        assert quotient_with_map(FORK, pair(FORK, h))[1] == expected
 
 
 def test_quotient_deletes_ideal():
@@ -196,8 +242,8 @@ def test_ideal_graph_fork():
 
 def test_ideal_graph_saturates_first():
     # {w} saturates to the whole vertex set, so the ideal is everything
-    assert ideal_graph(LINE3, {"w"}) == LINE3
-    assert ideal_graph(LINE3, LINE3.vertices) == LINE3
+    assert ideal_graph(LINE3, {"w"}) is LINE3
+    assert ideal_graph(LINE3, LINE3.vertices) is LINE3
 
 
 def test_ideal_graph_requires_hereditary():

@@ -143,6 +143,14 @@ of every relation family (``dense_relations``).  On maps corrupted in
 five ways, the check by domains and images refuses exactly the maps the
 matrices refuse, and wherever the projections are orthogonal it names
 the relation that the composing check names.
+
+Every ideal graph and quotient graph went through the ``Graph``
+constructor, also when it is the graph itself (a saturation of every
+vertex, or H empty) or the empty graph.  Both builders are kept here
+and compared, graph and origin map or refusal message, on hypothesis
+graphs with multiplicities 1, 2 and omega over every admissible pair
+(S nonempty included) and every tree, saturated or not, and on every
+8th sweep graph.
 """
 
 import contextlib
@@ -1841,6 +1849,77 @@ def test_ideal_graph_matches_crossing_loop(g):
                 ideal_graph(g, h)
         else:
             assert ideal_graph(g, h) == expected
+
+
+def rebuilt_quotient_with_map(g, pair):
+    """``quotient_with_map`` building every quotient through ``Graph``, g and empty included."""
+    pair, breaking = ideals._checked_pair(g, pair.h, pair.s)
+    hset = set(pair.h)
+    gaps = [v for v in breaking if v not in pair.s]
+    kept = [v for v in g.vertices if v not in hset]
+    taken = set(kept)
+    origin = {v: ("real", v) for v in kept}
+    gap_name = {}
+    for v in gaps:
+        name = _fresh(f"w_{v}", taken)
+        gap_name[v] = name
+        origin[name] = ("gap", v)
+    vertices = tuple(kept) + tuple(gap_name[v] for v in gaps)
+    bundles = [b for b in g.bundles if b.range not in hset]
+    bundle_names = {b.name for b in bundles}
+    for b in g.bundles:
+        if b.range in gap_name:
+            name = _fresh(f"f_{b.name}", bundle_names)
+            bundles.append(Bundle(name, b.source, gap_name[b.range], b.multiplicity))
+    return Graph(vertices, tuple(bundles)), origin
+
+
+def rebuilt_ideal_graph(g, h):
+    """``ideal_graph`` building every ideal graph through ``Graph``, g and empty included."""
+    hset = set(h)
+    if not is_hereditary(g, hset):
+        raise ContractError("ideal graphs are built from hereditary sets")
+    hbar = saturate(g, hset)
+    taken, entries = set(hbar), []
+    bundles = [b for b in g.bundles if b.source in taken]
+    bundle_names = {b.name for b in bundles}
+    for p in entry_paths(g, hbar, "the saturation"):
+        name = _fresh(render_path(g, p).replace("#", "_"), taken)
+        bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))
+        entries.append(name)
+    return Graph(hbar + tuple(entries), tuple(bundles))
+
+
+def derived_outcome(build, g, arg):
+    try:
+        return build(g, arg)
+    except NotFinitelyPresentableError as err:
+        return "refused", str(err)
+
+
+def assert_derived_graphs_match_rebuilt(g, extra_hereditary=()):
+    """Each quotient by an admissible pair, and each ideal graph of a pair's H or an extra set."""
+    pairs = enumerate_admissible_pairs(g)
+    for p in pairs:
+        assert quotient_with_map(g, p) == rebuilt_quotient_with_map(g, p), (g, p)
+    for h in [p.h for p in pairs if not p.s] + [*extra_hereditary]:
+        n = count_entry_paths(g, saturate(g, h))
+        if n is not None and n > LISTING_LIMIT:
+            continue
+        built = derived_outcome(ideal_graph, g, h)
+        assert built == derived_outcome(rebuilt_ideal_graph, g, h), (g, h)
+
+
+@SETTINGS
+@given(graphs())
+def test_derived_graphs_match_rebuilt_graphs(g):
+    # the trees are hereditary and need not be saturated
+    assert_derived_graphs_match_rebuilt(g, {tree_of(g, v) for v in g.vertices})
+
+
+def test_derived_graphs_match_rebuilt_graphs_on_the_sweep():
+    for g in sampled_sweep_graphs(8):
+        assert_derived_graphs_match_rebuilt(g)
 
 
 @SETTINGS
