@@ -29,7 +29,6 @@ from .graph import (
     count_entry_paths,
     count_paths_into,
     is_singular,
-    render_edge_ref,
     render_path,
     simple_cycles,
     singular_vertices,
@@ -188,9 +187,8 @@ def class_of(g: Graph, census: ClassCensus, b: BoundaryPath) -> int:
 def render_boundary_path(g: Graph, b: BoundaryPath) -> str:
     if b.cycle is None:
         return render_path(g, b.prefix)
-    cyc = "".join(render_edge_ref(g, e) for e in b.cycle)
     head = "" if b.prefix.length == 0 else render_path(g, b.prefix)
-    return f"{head}({cyc})^oo"
+    return f"{head}({render_path(g, Path(edges=b.cycle))})^oo"
 
 
 def finite_boundary_paths(g: Graph) -> tuple[BoundaryPath, ...]:

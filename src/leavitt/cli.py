@@ -30,12 +30,13 @@ from .graph import (
     OMEGA,
     Bundle,
     Graph,
+    Path,
     classify_vertex,
     downward_directed,
     has_cycle,
     is_omega,
     line_points,
-    render_edge_ref,
+    render_path,
     simple_cycles,
     singular_vertices,
     strongly_connected_components,
@@ -210,9 +211,7 @@ def _vertex_set(vs) -> str:
 def cmd_analyze(g: Graph, args) -> int:
     cycle_note = None
     try:
-        rendered_cycles = [
-            "".join(render_edge_ref(g, e) for e in cyc) for cyc in simple_cycles(g)
-        ]
+        rendered_cycles = [render_path(g, Path(edges=cyc)) for cyc in simple_cycles(g)]
     except NotFinitelyPresentableError as exc:
         rendered_cycles = None
         cycle_note = str(exc)

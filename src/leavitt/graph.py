@@ -345,11 +345,8 @@ class Graph:
 
 
 def render_edge_ref(g: Graph, ref: EdgeRef) -> str:
-    """``bundle#index``, with ``#0`` elided for multiplicity-1 bundles."""
-    b = g.bundle(ref.bundle)
-    if ref.index == 0 and b.multiplicity == 1:
-        return b.name
-    return f"{b.name}#{ref.index}"
+    """``bundle#index``, with ``#0`` elided for multiplicity-1 bundles (``_text_head``)."""
+    return _text_head(g.bundle(ref.bundle), ref.index)
 
 
 def render_path(g: Graph, p: Path) -> str:
@@ -741,7 +738,7 @@ def _edge_head(b: Bundle, i: int) -> tuple[EdgeRef]:
 
 
 def _text_head(b: Bundle, i: int) -> str:
-    return b.name if b.multiplicity == 1 else f"{b.name}#{i}"
+    return b.name if i == 0 and b.multiplicity == 1 else f"{b.name}#{i}"
 
 
 def _rows(g: Graph, stops, exits: dict, head, empty) -> list:

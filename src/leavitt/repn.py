@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .algebra import (
@@ -49,6 +49,7 @@ from .graph import (
 )
 
 PartialMap = dict[int, int]
+Key = tuple[str, object]
 
 
 class BoundaryRepresentation:
@@ -59,8 +60,9 @@ class BoundaryRepresentation:
     ``render_path`` gives them; ``classes`` partitions basis positions by
     shift-tail class (one block per sink, in vertex order); ``block_labels``
     lists, per block, the generators whose map is defined somewhere in it,
-    in label order.  The private ``_acting`` maps each of those labels, per
-    block, to the positions of the block where its map is defined.
+    in label order, rendered on first read.  The private ``_maps`` holds each
+    map once, keyed ("p", v), ("s", e) or ("s*", e) in label order, and
+    ``_acting[c]`` maps each generator of block c to its map and positions there.
     """
 
     def __init__(self, g: Graph):
@@ -79,27 +81,33 @@ class BoundaryRepresentation:
             if p.edges:
                 by_first_edge[p.edges[0]].append(i)
         self.classes = tuple(map(tuple, blocks))
-        self._maps: dict[str, PartialMap] = {}
-        # the maps s_e and s_e* of each edge, the same dicts as under their labels
-        self._edge_maps: dict[EdgeRef, tuple[PartialMap, PartialMap]] = {}
-        for v in g.vertices:
-            self._maps[f"p_{v}"] = {i: i for i in by_source[v]}
+        self._maps = {("p", v): {i: i for i in at} for v, at in by_source.items()}
         for ref, starting in by_first_edge.items():
             # prepending e is a bijection from the basis paths at r(e) onto those
             # starting with e, and it keeps path_key order, so it pairs them in order
             at_range = by_source[g.range_of(ref)]
-            fwd = dict(zip(at_range, starting))
-            back = dict(zip(starting, at_range))
-            name = render_edge_ref(g, ref)
-            self._maps[f"s_{name}"] = fwd
-            self._maps[f"s_{name}*"] = back
-            self._edge_maps[ref] = (fwd, back)
-        acting: list[dict[str, list[int]]] = [{} for _ in self.classes]
-        for label, m in self._maps.items():
+            self._maps["s", ref] = dict(zip(at_range, starting))
+            self._maps["s*", ref] = dict(zip(starting, at_range))
+        self._acting = acting = tuple({} for _ in self.classes)
+        for key, m in self._maps.items():
             for j in m:
-                acting[class_of[j]].setdefault(label, []).append(j)
-        self._acting = tuple(acting)
-        self.block_labels = tuple(map(tuple, acting))
+                acting[class_of[j]].setdefault(key, (m, []))[1].append(j)
+
+    def _label(self, key: Key) -> str:
+        """The text of a generator: ``p_v``, ``s_e`` or ``s_e*``."""
+        kind, x = key
+        if kind == "p":
+            return f"p_{x}"
+        name = render_edge_ref(self.graph, x)
+        return f"s_{name}*" if kind == "s*" else f"s_{name}"
+
+    @cached_property
+    def _keys(self) -> dict[str, Key]:
+        return {self._label(key): key for key in self._maps}
+
+    @cached_property
+    def block_labels(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(map(self._label, acting)) for acting in self._acting)
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -111,25 +119,25 @@ class BoundaryRepresentation:
         return len(self.basis)
 
     def generator_labels(self) -> tuple[str, ...]:
-        return tuple(self._maps)
+        return tuple(self._keys)
 
     def generator_map(self, label: str) -> PartialMap:
         try:
-            return dict(self._maps[label])
+            return dict(self._maps[self._keys[label]])
         except (KeyError, TypeError):
             raise UnknownNameError(f"unknown generator {label!r}") from None
 
     def vertex_map(self, v: str) -> PartialMap:
         self.graph.vertex_index(v)  # raises UnknownNameError
-        return dict(self._maps[f"p_{v}"])
+        return dict(self._maps["p", v])
 
     def edge_map(self, ref: EdgeRef) -> PartialMap:
         self.graph.check_edge(ref)
-        return dict(self._edge_maps[ref][0])
+        return dict(self._maps["s", ref])
 
     def edge_star_map(self, ref: EdgeRef) -> PartialMap:
         self.graph.check_edge(ref)
-        return dict(self._edge_maps[ref][1])
+        return dict(self._maps["s*", ref])
 
     def matrix(self, label: str) -> tuple[tuple[Fraction, ...], ...]:
         """Dense matrix of a generator: entry [image, argument] is 1."""
@@ -188,36 +196,33 @@ def verify_relations(R: BoundaryRepresentation) -> None:
     """
     g = R.graph
     maps = R._maps
-    edge_maps = R._edge_maps
+    name = partial(render_edge_ref, g)  # called only for a failure
     owner: dict[int, EdgeRef] = {}
-    for ref, (e, estar) in edge_maps.items():
+    images = dict.fromkeys(g.vertices, 0)
+    for ref in g.edge_refs():
         b = g.bundle(ref.bundle)
-        ds = maps[f"p_{b.source}"]
-        dr = maps[f"p_{b.range}"]
-        name = render_edge_ref(g, ref)
+        e, estar = maps["s", ref], maps["s*", ref]
+        ds, dr = maps["p", b.source], maps["p", b.range]
+        images[b.source] += len(estar)
         if not (e.keys() <= dr.keys() and all(i in ds for i in e.values())):
-            raise InternalInvariantError(f"relation p s = s = s p fails for {name}")
+            raise InternalInvariantError(f"relation p s = s = s p fails for {name(ref)}")
         if not (estar.keys() <= ds.keys() and all(j in dr for j in estar.values())):
-            raise InternalInvariantError(f"relation p s* = s* = s* p fails for {name}")
+            raise InternalInvariantError(f"relation p s* = s* = s* p fails for {name(ref)}")
         if estar != {i: j for j, i in e.items()}:
-            raise InternalInvariantError(f"s_{name}* is not the inverse of s_{name}")
+            s_e, s_e_star = R._label(("s", ref)), R._label(("s*", ref))
+            raise InternalInvariantError(f"{s_e_star} is not the inverse of {s_e}")
         if len(estar) != len(dr):
-            raise InternalInvariantError(f"relation s*{name} s{name} fails")
+            raise InternalInvariantError(f"relation s*{name(ref)} s{name(ref)} fails")
         for i in e.values():
             first = owner.setdefault(i, ref)
             if first != ref:
-                raise InternalInvariantError(
-                    f"relation s*{render_edge_ref(g, first)} s{name} fails"
-                )
+                raise InternalInvariantError(f"relation s*{name(first)} s{name(ref)} fails")
     for v in g.vertices:
-        out = g.out_bundles(v)
-        if out and len(maps[f"p_{v}"]) != sum(
-            len(edge_maps[EdgeRef(b.name, i)][1]) for b in out for i in range(b.multiplicity)
-        ):
+        if g.out_bundles(v) and len(maps["p", v]) != images[v]:
             raise InternalInvariantError(f"relation p_v = sum s_e s_e* fails at {v!r}")
     seen: set[int] = set()
     for v in g.vertices:
-        p = maps[f"p_{v}"]
+        p = maps["p", v]
         if any(j != i for j, i in p.items()) or not seen.isdisjoint(p):
             raise InternalInvariantError(f"relation p_v p_w = delta p_v fails at {v!r}")
         seen.update(p)
@@ -237,11 +242,10 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
     """
     g = R.graph
     maps = R._maps
-    edge_maps = R._edge_maps
 
     def through(path: Path, positions: list[int]) -> list[int]:
         for ref in reversed(path.edges):
-            s = edge_maps[ref][0]
+            s = maps["s", ref]
             positions = [s[i] for i in positions]
         return positions
 
@@ -252,7 +256,7 @@ def evaluate(R: BoundaryRepresentation, x: AlgebraElement) -> tuple[tuple[Fracti
         v = _check_monomial(g, m)
         if not isinstance(c, Fraction):
             c = Fraction(c)
-        domain = list(maps[f"p_{v}"])
+        domain = list(maps["p", v])
         for i, j in zip(through(m.alpha, domain), through(m.beta, domain)):
             row = rows[i]
             # an entry still holding the shared zero takes c without an addition
@@ -278,13 +282,12 @@ def blocks_invariant(R: BoundaryRepresentation) -> bool:
 def _block_moves(R: BoundaryRepresentation, c: int):
     """Each (argument, image) pair of a generator at the positions of block ``c`` it acts on.
 
-    The positions are those recorded at construction, and each image is
-    read from the generator's map as it is now, so a block costs
-    O(entries in the block) however many other blocks its generators reach.
+    The maps and positions are those recorded at construction, and each
+    image is read from the map as it is now (changed in place, not replaced),
+    so a block costs O(entries in the block) however many other blocks its
+    generators reach.
     """
-    maps = R._maps
-    for label, positions in R._acting[c].items():
-        m = maps[label]
+    for m, positions in R._acting[c].values():
         for j in positions:
             if j in m:
                 yield j, m[j]
@@ -372,13 +375,14 @@ def hom_space_dim(R: BoundaryRepresentation, a: int, b: int) -> int:
             raise InternalInvariantError("generator leaves a block")
     x = A[0]
     t = R.graph.path_range(R.basis[x])
-    P = R._maps[f"p_{t}"]
+    P = R._maps["p", t]
     if {j: i for j, i in P.items() if class_of[j] == a} != {x: x}:
-        raise InternalInvariantError(f"p_{t} does not project block {a} onto its sink path")
+        p_t = R._label(("p", t))
+        raise InternalInvariantError(f"{p_t} does not project block {a} onto its sink path")
     if not _one_orbit(R, a):
         raise InternalInvariantError(f"block {a} is not one orbit")
     if b != a and any(class_of[j] == b for j in P):
-        raise InternalInvariantError(f"p_{t} has an entry in block {b}")
+        raise InternalInvariantError(f"{R._label(('p', t))} has an entry in block {b}")
     return 1 if a == b else 0
 
 

@@ -5,6 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leavitt import (
     FIXTURES,
@@ -22,6 +23,7 @@ from leavitt import (
     downward_directed,
     has_cycle,
     is_hereditary,
+    is_omega,
     is_saturated,
     line_points,
     paths_into,
@@ -42,6 +44,7 @@ from leavitt.errors import (
     UnknownNameError,
 )
 from leavitt.graph import (
+    _text_head,
     count_entry_paths,
     escaping_edges,
     line_through,
@@ -204,8 +207,27 @@ def test_render_elides_index_only_for_multiplicity_one():
     assert render_edge_ref(g, g.edge("e", 0)) == "e#0"
     assert render_edge_ref(g, g.edge("e", 1)) == "e#1"
     assert render_edge_ref(g, g.edge("f")) == "f"
+    # a ref past a multiplicity-1 bundle keeps its index: only #0 is elided
+    assert render_edge_ref(g, EdgeRef("f", 1)) == "f#1"
     assert render_path(g, g.path(("e", 1), "f")) == "e#1f"
     assert render_path(g, g.vertex_path("u")) == "u"
+
+
+BUNDLES = st.lists(
+    st.tuples(st.sampled_from("uvw"), st.sampled_from("uvw"), st.sampled_from((1, 2, OMEGA))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(BUNDLES)
+def test_text_head_is_the_edge_text(bundles):
+    # the listings write an edge's text with _text_head, everything else with render_edge_ref
+    g = Graph(("u", "v", "w"), tuple(Bundle(f"e{k}", *b) for k, b in enumerate(bundles)))
+    for b in g.bundles:
+        for i in range(3 if is_omega(b.multiplicity) else b.multiplicity):
+            assert _text_head(b, i) == render_edge_ref(g, EdgeRef(b.name, i))
 
 
 # -- vertex classification --------------------------------------------------

@@ -125,8 +125,11 @@ partial-map evaluation on hypothesis acyclic graphs with parallel edges.
 consecutive pair.  That check is kept here and compared, exception type,
 message and range, with the one lookup per edge on hypothesis paths over
 multiplicities 1, 2 and omega, valid and broken in each way it refuses.
-The representation's edge maps were found by their rendered labels; the
-table keyed by ``EdgeRef`` is compared with those labelled maps.
+The representation's maps were found by their rendered labels, and held
+again by ``EdgeRef``.  Each map is now held once, keyed by vertex or
+edge; the labelled table is kept here (``labelled_generators``) and
+compared with the labels, maps and block labels the representation
+renders, on hypothesis acyclic graphs and trees.
 
 The edge maps built every path e p and looked it up in the basis index;
 ``naimark_isomorphism`` listed every path into the sink and stripped its
@@ -285,6 +288,7 @@ from sweeputil import (  # noqa: E402
     sweep_graphs,
 )
 from test_acceptance import _growth_doubles  # noqa: E402
+from test_repn import live_map  # noqa: E402
 
 SETTINGS = settings(max_examples=400, deadline=None, database=None)
 
@@ -1056,13 +1060,13 @@ def composed_relations(R):
     Raises InternalInvariantError with the failing relation.
     """
     g = R.graph
-    maps = R._maps
-    edge_maps = R._edge_maps
     owner: dict[int, EdgeRef] = {}
-    for ref, (e, estar) in edge_maps.items():
+    for ref in g.edge_refs():
         b = g.bundle(ref.bundle)
-        ps = maps[f"p_{b.source}"]
-        pr = maps[f"p_{b.range}"]
+        label = f"s_{render_edge_ref(g, ref)}"
+        e, estar = live_map(R, label), live_map(R, label + "*")
+        ps = live_map(R, f"p_{b.source}")
+        pr = live_map(R, f"p_{b.range}")
         if _compose(ps, e) != e or _compose(e, pr) != e:
             name = render_edge_ref(g, ref)
             raise InternalInvariantError(f"relation p s = s = s p fails for {name}")
@@ -1089,13 +1093,13 @@ def composed_relations(R):
         union = {}
         for b in out:
             for i in range(b.multiplicity):
-                e, estar = edge_maps[EdgeRef(b.name, i)]
-                piece = _compose(e, estar)
+                label = f"s_{render_edge_ref(g, EdgeRef(b.name, i))}"
+                piece = _compose(live_map(R, label), live_map(R, label + "*"))
                 for j, i2 in piece.items():
                     if j != i2 or j in union:
                         raise InternalInvariantError(f"summands at {v!r} overlap")
                     union[j] = i2
-        if union != maps[f"p_{v}"]:
+        if union != live_map(R, f"p_{v}"):
             raise InternalInvariantError(f"relation p_v = sum s_e s_e* fails at {v!r}")
 
 
@@ -1113,7 +1117,7 @@ def dense_relations(R):
 
     def matrix(label):
         rows = [[0] * n for _ in range(n)]
-        for j, i in R._maps[label].items():
+        for j, i in live_map(R, label).items():
             rows[i][j] = 1
         return rows
 
@@ -1258,7 +1262,7 @@ def union_find_hom_space_dim(R, a, b):
         return x
 
     for label in dict.fromkeys(R.block_labels[a] + R.block_labels[b]):
-        m = R._maps[label]
+        m = live_map(R, label)
         f = {}
         h_inv = {}
         for gj, gi in m.items():
@@ -1353,17 +1357,17 @@ def corrupt_maps(R, how, data):
         c = data.draw(st.integers(0, k - 1))
         for label in R.block_labels[c]:
             if label.endswith("*"):
-                m = R._maps[label]
+                m = live_map(R, label)
                 for j in [j for j in m if R.class_of[j] == c]:
                     del m[j]
     elif how == "leave":
         hypothesis.assume(k > 1)
-        m = R._maps[data.draw(st.sampled_from(R.generator_labels()))]
+        m = live_map(R, data.draw(st.sampled_from(R.generator_labels())))
         j = data.draw(st.sampled_from(sorted(m)))
         m[j] = data.draw(st.sampled_from([i for i, c in enumerate(R.class_of) if c != R.class_of[j]]))
     else:
         for label in data.draw(st.lists(st.sampled_from(R.generator_labels()), max_size=4)):
-            m = R._maps[label]
+            m = live_map(R, label)
             for c, block in enumerate(R.classes):
                 domain = [j for j in m if R.class_of[j] == c]
                 m.update(zip(domain, data.draw(st.permutations(block))))
@@ -1376,11 +1380,12 @@ def widen_maps(R, how, data):
     hypothesis.assume(len(labels) > 1)
     if how == "set entry":
         n = R.dimension
-        m = R._maps[data.draw(st.sampled_from(labels))]
+        m = live_map(R, data.draw(st.sampled_from(labels)))
         m[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
     else:
         p = data.draw(st.sampled_from([f"p_{v}" for v in R.graph.vertices]))
-        R._maps[data.draw(st.sampled_from([label for label in labels if label != p]))].update(R._maps[p])
+        other = data.draw(st.sampled_from([label for label in labels if label != p]))
+        live_map(R, other).update(live_map(R, p))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -1669,11 +1674,10 @@ def test_relation_checks_reject_overlapping_images():
     # s_h#1 made equal to s_h#0: every relation but s_h#0* s_h#1 = 0 holds
     g = Graph(("x", "w"), (Bundle("h", "x", "w", 2),))
     R = build_rho(g)
-    # in place: the representation's edge table shares these dicts
-    R._maps["s_h#1"].clear()
-    R._maps["s_h#1"].update(R._maps["s_h#0"])
-    R._maps["s_h#1*"].clear()
-    R._maps["s_h#1*"].update(R._maps["s_h#0*"])
+    live_map(R, "s_h#1").clear()
+    live_map(R, "s_h#1").update(live_map(R, "s_h#0"))
+    live_map(R, "s_h#1*").clear()
+    live_map(R, "s_h#1*").update(live_map(R, "s_h#0*"))
     with pytest.raises(InternalInvariantError, match=r"relation s\*h#0 sh#1 fails"):
         verify_relations(R)
     with pytest.raises(InternalInvariantError, match="s_e\\* s_f"):
@@ -2860,6 +2864,11 @@ def index_edge_maps(R):
     return maps
 
 
+def edge_table(R):
+    """Each edge's (s_e, s_e*), read from R by ``EdgeRef``."""
+    return {ref: (R.edge_map(ref), R.edge_star_map(ref)) for ref in R.graph.edge_refs()}
+
+
 def test_edge_maps_match_index_lookups_on_the_acyclic_sweep():
     checked = 0
     for g in base_graphs():
@@ -2867,7 +2876,7 @@ def test_edge_maps_match_index_lookups_on_the_acyclic_sweep():
             continue
         checked += 1
         R = build_rho(g)
-        assert R._edge_maps == index_edge_maps(R)
+        assert edge_table(R) == index_edge_maps(R)
     assert checked == 3442
 
 
@@ -2876,15 +2885,52 @@ def test_edge_maps_match_index_lookups_on_the_acyclic_sweep():
 def test_edge_map_table_matches_labelled_maps(g):
     R = build_rho(g)
     refs = g.edge_refs()
-    assert list(R._edge_maps) == list(refs)
-    assert R._edge_maps == index_edge_maps(R)
+    assert [x for kind, x in R._maps if kind == "s"] == list(refs)
+    assert edge_table(R) == index_edge_maps(R)
     for ref in refs:
         label = f"s_{render_edge_ref(g, ref)}"
         assert R.edge_map(ref) == R.generator_map(label)
         assert R.edge_star_map(ref) == R.generator_map(label + "*")
-        # the table shares the labelled dicts rather than copying them
-        e, estar = R._edge_maps[ref]
-        assert e is R._maps[label] and estar is R._maps[label + "*"]
+        # the labels name the edge's own maps
+        assert R._keys[label] == ("s", ref) and R._keys[label + "*"] == ("s*", ref)
+
+
+def labelled_generators(R):
+    """Each generator's partial map under its label, built as the labelled table was.
+
+    ``p_<v>`` per vertex, then ``s_<edge>`` and ``s_<edge>*`` per entry of
+    ``edge_refs``, with the edge text of ``render_edge_ref``.
+    """
+    g = R.graph
+    by_source = {v: [] for v in g.vertices}
+    by_first_edge = {ref: [] for ref in g.edge_refs()}
+    for i, p in enumerate(R.basis):
+        by_source[g.path_source(p)].append(i)
+        if p.edges:
+            by_first_edge[p.edges[0]].append(i)
+    maps = {f"p_{v}": {i: i for i in at} for v, at in by_source.items()}
+    for ref, starting in by_first_edge.items():
+        at_range = by_source[g.range_of(ref)]
+        name = render_edge_ref(g, ref)
+        maps[f"s_{name}"] = dict(zip(at_range, starting))
+        maps[f"s_{name}*"] = dict(zip(starting, at_range))
+    return maps
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(acyclic_graphs(), trees()))
+def test_labels_match_labelled_generators(g):
+    R = build_rho(g)
+    maps = labelled_generators(R)
+    assert R.generator_labels() == tuple(maps)
+    for label, m in maps.items():
+        assert R.generator_map(label) == m
+    # per block, the labels of the maps defined somewhere in it, in label order
+    acting = [{} for _ in R.classes]
+    for label, m in maps.items():
+        for j in m:
+            acting[R.class_of[j]][label] = None
+    assert R.block_labels == tuple(map(tuple, acting))
 
 
 @pytest.mark.parametrize(
@@ -2907,6 +2953,6 @@ def test_relation_checks_read_the_labelled_maps_in_place(labels, change, message
     R = build_rho(g)
     verify_relations(R)
     for label in labels:
-        change(R._maps[label])
+        change(live_map(R, label))
     with pytest.raises(InternalInvariantError, match=message):
         verify_relations(R)
