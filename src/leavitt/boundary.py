@@ -158,7 +158,18 @@ def enumerate_classes(g: Graph) -> ClassCensus:
     The class set is uncountable iff some strongly connected component
     contains two distinct simple cycles; otherwise it is finite, with one
     class per singular vertex and one per rotation class of simple cycle.
+    The census is taken once per ``Graph`` instance and kept in its
+    ``__dict__``: a graph is immutable and the census frozen, so every
+    later call returns the same object.
     """
+    census = g.__dict__.get("_census")
+    if census is None:
+        census = g.__dict__["_census"] = _census(g)
+    return census
+
+
+def _census(g: Graph) -> ClassCensus:
+    """``enumerate_classes``, taken afresh."""
     if g._doubled:
         return ClassCensus(True, ())
     classes = []

@@ -145,9 +145,10 @@ class Graph:
     in declared order, vertex classes, the walk order along successors
     (each vertex after its successors, except on a cycle), strongly
     connected components, the vertices on cycles, the doubled components
-    and the path counts.  The tables sit in the instance ``__dict__``;
-    equality, hashing and ``repr`` depend only on ``vertices`` and
-    ``bundles``.
+    and the path counts.  The tables sit in the instance ``__dict__``, as
+    do the class census and the listed admissible sets once a query has
+    derived them; equality, hashing and ``repr`` depend only on
+    ``vertices`` and ``bundles``.
     """
 
     vertices: tuple[str, ...]
@@ -448,10 +449,15 @@ def _ordered(g: Graph, vs) -> tuple[str, ...]:
     return tuple(v for v in g.vertices if v in vs)
 
 
-def _check_subset(g: Graph, hs) -> set:
+def _names(hs) -> set:
+    """``hs`` as a set, refusing a bare string, which would read as the set of its characters."""
     if isinstance(hs, str):
         raise ContractError(f"a vertex set must be a collection of names, not the string {hs!r}")
-    h = set(hs)
+    return set(hs)
+
+
+def _check_subset(g: Graph, hs) -> set:
+    h = _names(hs)
     for v in h.difference(g._position):
         g.vertex_index(v)  # raises UnknownNameError
     return h

@@ -22,6 +22,7 @@ from .graph import (
     _check_subset,
     _entry_exits,
     _hereditary,
+    _names,
     _ordered,
     _paths_ending,
     _rounds,
@@ -48,18 +49,39 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     return _checked_pair(g, h, s)[0]
 
 
+def _certified(g: Graph, h) -> tuple[str, ...] | None:
+    """The breaking vertices of ``h`` if ``enumerate_admissible_pairs`` listed it on ``g``.
+
+    Only a tuple equal to a listed H matches, so one in vertex order; for
+    any other ``h`` (a list, another order, a set never listed on this
+    instance) it gives None, and the caller checks ``h`` in full.
+    """
+    listed = g.__dict__.get("_certified")
+    if listed is None or type(h) is not tuple:
+        return None
+    try:
+        return listed.get(h)
+    except TypeError:  # an unhashable member: the full check refuses it
+        return None
+
+
 def _checked_pair(g: Graph, h, s) -> tuple[AdmissiblePair, tuple[str, ...]]:
     """``admissible_pair`` plus the breaking vertices of ``h``, validating ``h`` once."""
-    hset = _check_subset(g, h)
-    sset = set(s)
-    if not _hereditary(g, hset):
-        raise ContractError("H must be hereditary")
-    if not _saturated(g, hset):
-        raise ContractError("H must be saturated")
-    breaking = _breaking_vertices(g, hset)
+    breaking = _certified(g, h)
+    if breaking is None:
+        hset = _check_subset(g, h)
+        sset = _names(s)
+        if not _hereditary(g, hset):
+            raise ContractError("H must be hereditary")
+        if not _saturated(g, hset):
+            raise ContractError("H must be saturated")
+        breaking = _breaking_vertices(g, hset)
+        h = _ordered(g, hset)
+    else:
+        sset = _names(s)
     if not sset <= set(breaking):
         raise ContractError(f"S must consist of breaking vertices of H; got {sorted(sset)}")
-    return AdmissiblePair(_ordered(g, hset), _ordered(g, sset)), breaking
+    return AdmissiblePair(h, _ordered(g, sset)), breaking
 
 
 def _fresh(base: str, taken: set) -> str:
@@ -130,28 +152,29 @@ def ideal_graph(g: Graph, h) -> Graph:
     that vertex to the path's range.  When the saturation is every vertex
     the result is ``g`` itself, and when it is empty the empty graph.
     """
-    hset = _check_subset(g, h)
-    if not _hereditary(g, hset):
-        raise ContractError("ideal graphs are built from hereditary sets")
-    rounds = _rounds(g, hset)
-    if len(rounds) == len(g.vertices):
+    if _certified(g, h) is None:
+        hset = _check_subset(g, h)
+        if not _hereditary(g, hset):
+            raise ContractError("ideal graphs are built from hereditary sets")
+        h = _ordered(g, _rounds(g, hset))
+    # else h is a listed saturated hereditary set: its own saturation
+    if len(h) == len(g.vertices):
         # No bundle enters V, so there is no entry vertex, and every bundle
         # has its source in V: the vertices and bundles are g's, in order.
         return g
-    if not rounds:
+    if not h:
         # No bundle has its source in, or enters, the empty set.
         return _EMPTY
-    hbar = _ordered(g, rounds)
-    taken, entries = set(hbar), []
+    taken, entries = set(h), []
     bundles = [b for b in g.bundles if b.source in taken]
     bundle_names = {b.name for b in bundles}
-    exits = _entry_exits(g, rounds, "the saturation")
+    exits = _entry_exits(g, taken, "the saturation")
     for p in _paths_ending(g, (), exits) if exits else ():
         # bundle names never contain '#', so this keeps entry names valid
         name = _fresh(render_path(g, p).replace("#", "_"), taken)
         bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))
         entries.append(name)
-    return Graph(hbar + tuple(entries), tuple(bundles))
+    return Graph(h + tuple(entries), tuple(bundles))
 
 
 def _closed(ranges, m: int) -> int:
@@ -247,6 +270,9 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     ``_saturated_hereditary_masks``), so the time grows with the output,
     not with the 2^n vertex subsets, and each set is certified saturated
     and hereditary again.  Every S within its breaking vertices is listed.
+    Each H is recorded on ``g`` with its breaking vertices, so
+    ``admissible_pair``, ``quotient_graph`` and ``ideal_graph`` of a listed
+    H check only S; the record lives as long as ``g``.
 
     Guarded: refuses graphs with more than PAIR_ENUMERATION_LIMIT
     vertices, since the number of pairs can still grow as 2^n and nothing
@@ -260,11 +286,12 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
         )
     sets = [tuple(i for i in range(n) if m >> i & 1) for m in _saturated_hereditary_masks(g)]
     sets.sort(key=lambda positions: (len(positions), positions))
-    pairs = []
+    pairs, certified = [], {}
     for positions in sets:
         h = tuple(g.vertices[i] for i in positions)
-        br = _breaking_vertices(g, set(h))
+        br = certified[h] = _breaking_vertices(g, set(h))
         for ssize in range(len(br) + 1):
             for scombo in combinations(br, ssize):
                 pairs.append(AdmissiblePair(h, scombo))
+    g.__dict__["_certified"] = certified
     return tuple(pairs)

@@ -11,9 +11,13 @@ from leavitt import (
     Bundle,
     Graph,
     admissible_pair,
+    boundary,
+    check_condition4,
+    check_condition5,
     enumerate_admissible_pairs,
     enumerate_classes,
     ideal_graph,
+    ideals,
     is_hereditary,
     is_saturated,
     quotient_graph,
@@ -51,6 +55,23 @@ def test_a_bare_string_is_not_h():
         with pytest.raises(ContractError, match=message):
             call()
     assert ideal_graph(g, ("a", "b")) is g
+
+
+def test_a_bare_string_is_not_s():
+    # a breaks {b}: its one escaping edge runs to t, so "a" read as {"a"} would be valid
+    message = "a vertex set must be a collection of names, not the string 'a'"
+    for listed in (False, True):
+        g = Graph(("a", "b", "t"), (Bundle("e", "a", "t"), Bundle("f", "a", "b", OMEGA)))
+        if listed:  # ("b",) is then recorded, and only S is checked
+            assert AdmissiblePair(("b",), ("a",)) in enumerate_admissible_pairs(g)
+        for call in (
+            lambda: admissible_pair(g, ("b",), "a"),
+            lambda: quotient_with_map(g, AdmissiblePair(("b",), "a")),
+            lambda: quotient_graph(g, AdmissiblePair(("b",), "a")),
+        ):
+            with pytest.raises(ContractError, match=message):
+                call()
+        assert admissible_pair(g, ("b",), ("a",)) == AdmissiblePair(("b",), ("a",))
 
 
 def test_admissible_pair_validation():
@@ -148,6 +169,63 @@ def test_trivial_derived_graphs_build_no_graph(monkeypatch):
     ideal_graph(FORK, {"v"})
     quotient_graph(FORK, pair(FORK, {"v"}))
     assert len(built) == 2  # every other derived graph is still built
+
+
+def test_listed_pairs_are_not_checked_again(monkeypatch):
+    calls = []
+    for check in ("_check_subset", "_hereditary", "_saturated", "_breaking_vertices", "_rounds"):
+        real = getattr(ideals, check)
+
+        def counted(*args, _check=check, _real=real):
+            calls.append(_check)
+            return _real(*args)
+
+        monkeypatch.setattr(ideals, check, counted)
+    for name, fixture in FIXTURES.items():
+        g = Graph(fixture.vertices, fixture.bundles)
+        pairs = enumerate_admissible_pairs(g)
+        calls.clear()
+        for p in pairs:
+            assert admissible_pair(g, p.h, p.s) == p
+            quotient_graph(g, p)
+            try:
+                ideal_graph(g, p.h)
+            except NotFinitelyPresentableError:
+                pass
+        assert calls == [], name
+        admissible_pair(g, list(pairs[0].h))  # a set not given as listed is checked in full
+        assert {"_check_subset", "_hereditary", "_saturated"} <= set(calls), name
+
+
+def test_a_sweep_op_takes_each_census_once(monkeypatch):
+    computed, asked = [], []
+    census = boundary._census
+
+    def counted(g):
+        computed.append(g)
+        return census(g)
+
+    monkeypatch.setattr(boundary, "_census", counted)
+    for fixture in FIXTURES.values():
+        for _ in range(2):  # equal graphs, distinct instances: each takes its own census
+            g = Graph(fixture.vertices, fixture.bundles)
+            check_condition4(g)
+            check_condition5(g)
+            asked.append(g)
+            total = enumerate_classes(g)
+            for p in enumerate_admissible_pairs(g):
+                if p.s:
+                    continue
+                try:
+                    ideal = ideal_graph(g, p.h)
+                except NotFinitelyPresentableError:
+                    continue
+                for derived in (ideal, quotient_graph(g, p)):
+                    asked.append(derived)
+                    enumerate_classes(derived)
+            assert enumerate_classes(g) is total
+    assert len({id(g) for g in computed}) == len(computed)  # no instance twice
+    assert {id(g) for g in asked if g.vertices} == {id(g) for g in computed if g.vertices}
 
 
 def test_identity_quotient_origin_is_fresh_on_each_call():

@@ -191,6 +191,8 @@ from leavitt.algebra import (  # noqa: E402
 )
 from leavitt.boundary import (  # noqa: E402
     BoundaryPath,
+    ClassCensus,
+    TailClass,
     boundary_path,
     enumerate_classes,
     shift,
@@ -257,6 +259,7 @@ from leavitt.ideals import (  # noqa: E402
     admissible_pair,
     enumerate_admissible_pairs,
     ideal_graph,
+    quotient_graph,
     quotient_with_map,
 )
 from leavitt.naimark import (  # noqa: E402
@@ -1924,6 +1927,92 @@ def test_derived_graphs_match_rebuilt_graphs(g):
 def test_derived_graphs_match_rebuilt_graphs_on_the_sweep():
     for g in sampled_sweep_graphs(8):
         assert_derived_graphs_match_rebuilt(g)
+
+
+# -- the census and the listed pairs, kept on the graph ---------------------------
+
+
+def uncached_census(g):
+    """``enumerate_classes`` taken afresh on every call, as before it was kept on ``g``."""
+    if g._doubled:
+        return ClassCensus(True, ())
+    classes = []
+    for v in singular_vertices(g):
+        rep = BoundaryPath(vertex_path(v), None)
+        classes.append(TailClass(rep, count_paths_into(g, v)))
+    for cyc in simple_cycles(g):
+        rep = boundary_path(g, vertex_path(g.source_of(cyc[0])), cyc)
+        entries = count_entry_paths(g, [g.source_of(e) for e in cyc])
+        classes.append(TailClass(rep, None if entries is None else len(cyc) + entries))
+    return ClassCensus(False, tuple(classes))
+
+
+def assert_census_is_kept(g):
+    census = enumerate_classes(g)
+    assert census == uncached_census(g), g
+    assert enumerate_classes(g) is census
+    twin = Graph(g.vertices, g.bundles)  # equal, but another instance: its own census
+    assert enumerate_classes(twin) == census and enumerate_classes(twin) is not census
+
+
+def outcome(call):
+    """The result of ``call``, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def listed_pair_candidates(full, pairs, foreign):
+    """Every listed (H, S), and each perturbed: H reordered or as a list, S with a vertex that
+    does not break H; then every H of ``foreign``, listed on another graph, with S empty."""
+    for p in pairs:
+        breaking = ideals._checked_pair(full, p.h, ())[1]
+        yield p.h, p.s
+        yield p.h[::-1], p.s
+        yield list(p.h), p.s
+        yield p.h, p.s + next(((v,) for v in full.vertices if v not in breaking), ())
+    for h in foreign:
+        yield h, ()
+
+
+def listed_ideal_graph(g, h):
+    """``outcome`` of ``ideal_graph(g, h)``, or None when it would list over LISTING_LIMIT entries."""
+    n = outcome(lambda: count_entry_paths(g, saturate(g, h)))
+    return None if isinstance(n, int) and n > LISTING_LIMIT else outcome(lambda: ideal_graph(g, h))
+
+
+def assert_listed_pairs_match_full_checks(g, foreign=()):
+    """On the pairs ``g`` listed and on perturbed ones, each pair check and derived graph
+    through ``g``'s record equals the full one on an equal instance that listed nothing;
+    each census of ``g`` and its derived graphs equals ``uncached_census``."""
+    pairs = enumerate_admissible_pairs(g)
+    full = Graph(g.vertices, g.bundles)
+    for h, s in listed_pair_candidates(full, pairs, foreign):
+        checked = outcome(lambda: ideals._checked_pair(g, h, s))
+        assert checked == outcome(lambda: ideals._checked_pair(full, h, s)), (g, h, s)
+        if not s:
+            assert listed_ideal_graph(g, h) == listed_ideal_graph(full, h), (g, h)
+    assert_census_is_kept(g)
+    for p in pairs:
+        assert_census_is_kept(quotient_graph(g, p))
+        if not p.s and isinstance(ideal := listed_ideal_graph(g, p.h), Graph):
+            assert_census_is_kept(ideal)
+    return [p.h for p in pairs if not p.s]
+
+
+@SETTINGS
+@given(graphs())
+def test_kept_census_and_listed_pairs_match_full_checks(g):
+    # the sets another instance listed: g with its last bundle dropped
+    foreign = enumerate_admissible_pairs(Graph(g.vertices, g.bundles[:-1]))
+    assert_listed_pairs_match_full_checks(g, [p.h for p in foreign if not p.s])
+
+
+def test_kept_census_and_listed_pairs_match_full_checks_on_the_sweep():
+    foreign = []  # the sets the previous sampled graph listed
+    for g in sampled_sweep_graphs(64):
+        foreign = assert_listed_pairs_match_full_checks(g, foreign)
 
 
 @SETTINGS
