@@ -24,11 +24,12 @@ Elements render to, and parse from, the grammar
     pathpart :=  vertex  |  edgeatom+
     edgeatom :=  bundle [ '#' index ]
 
-``#0`` is elided for multiplicity-1 bundles, terms are joined with
-`` + `` / `` - `` and coefficients of magnitude one are dropped, e.g.
-``3/2*ef.w* - p_u``.  Edge atoms are concatenated without separators;
-parsing segments them against the graph's bundle names and rejects
-ambiguous path strings.  A pathpart that names a vertex is always read
+Integers and indices are written in the ASCII digits 0-9, and a
+denominator is nonzero.  ``#0`` is elided for multiplicity-1 bundles,
+terms are joined with `` + `` / `` - `` and coefficients of magnitude
+one are dropped, e.g. ``3/2*ef.w* - p_u``.  Edge atoms are concatenated
+without separators; parsing segments them against the graph's bundle
+names and rejects ambiguous path strings.  A pathpart that names a vertex is always read
 as that vertex.
 """
 
@@ -46,6 +47,7 @@ from .graph import (
     Path,
     _edge_head,
     _postorder,
+    _singular,
     _tails,
     breaking_vertices,
     count_paths_into,
@@ -246,9 +248,9 @@ def normal_form(g: Graph, x: AlgebraElement) -> AlgebraElement:
     supported (otherwise the rewriting does not terminate).
     """
     _require_acyclic_finite(g, "normal form")
-    ranges = [_check_monomial(g, m) for m, _ in x.terms]
+    ranges = [g.vertex_index(_check_monomial(g, m)) for m, _ in x.terms]
     # children first over the descendants of the ranges: each after the ranges of its bundles
-    tails = _tails(g, _postorder(g._succ, ranges), singular_vertices(g), {}, _edge_head, ())[0]
+    tails = _tails(g, _postorder(g._out, ranges), _singular(g), {}, _edge_head, ())[0]
     return _normalized(
         (Monomial(Path(edges=m.alpha.edges + e), Path(edges=m.beta.edges + e)) if e else m, c)
         for (m, c), v in zip(x.terms, ranges)
@@ -297,9 +299,9 @@ def render_element(g: Graph, x: AlgebraElement) -> str:
     return "".join(parts)
 
 
-_COEF_RE = re.compile(r"(\d+)(?:/(\d+))?\*")
+_COEF_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\*")
 _MONO_RE = re.compile(r"(?:p_([A-Za-z_][A-Za-z0-9_]*)|([A-Za-z0-9_#]+)\.([A-Za-z0-9_#]+)\*)\Z")
-_INDEX_RE = re.compile(r"#(\d+)")
+_INDEX_RE = re.compile(r"#([0-9]+)")
 
 
 def parse_path(g: Graph, text: str) -> Path:
@@ -375,6 +377,8 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
         if m:
             num = int(m.group(1))
             den = int(m.group(2)) if m.group(2) else 1
+            if not den:
+                raise ContractError(f"coefficient {tok[: m.end() - 1]!r} has a zero denominator")
             coef *= Fraction(num, den)
             tok = tok[m.end() :]
         mm = _MONO_RE.match(tok)

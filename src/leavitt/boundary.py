@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     Path,
     _paths_ending,
+    _singular,
     count_entry_paths,
     count_paths_into,
     is_singular,
@@ -204,4 +205,4 @@ def render_boundary_path(g: Graph, b: BoundaryPath) -> str:
 
 def finite_boundary_paths(g: Graph) -> tuple[BoundaryPath, ...]:
     """All finite boundary paths, sorted; requires every singular class finite."""
-    return tuple(BoundaryPath(p, None) for p in _paths_ending(g, singular_vertices(g), {}))
+    return tuple(BoundaryPath(p, None) for p in _paths_ending(g, _singular(g), {}))

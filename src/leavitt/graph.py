@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, product, takewhile
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -136,25 +137,41 @@ class VertexClass(enum.Enum):
     INFINITE_EMITTER = "infinite-emitter"
 
 
+def _collection(value, what: str, error: type) -> None:
+    """Raise ``error`` with ``what`` unless ``value`` is a collection; a bare string is not one."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        kind = "the string " if isinstance(value, str) else ""
+        raise error(f"{what}, not {kind}{value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """An immutable finitely presented directed multigraph.
 
-    Construction validates the presentation and, in the same pass, builds
-    every table the queries read: vertex and bundle positions, adjacency
-    in declared order, vertex classes, the walk order along successors
-    (each vertex after its successors, except on a cycle), strongly
-    connected components, the vertices on cycles, the doubled components
-    and the path counts.  The tables sit in the instance ``__dict__``, as
-    do the class census and the listed admissible sets once a query has
-    derived them; equality, hashing and ``repr`` depend only on
-    ``vertices`` and ``bundles``.
+    Construction validates the presentation, stores ``vertices`` and
+    ``bundles`` as tuples and, in the same pass, builds every table the
+    queries read.  Inside, a vertex is its position in ``vertices``: only
+    ``_position`` and ``_bundle_at`` are keyed by name, and every other
+    table is a list indexed by position or holds positions.  They are the
+    bundles leaving and entering each vertex in declared order, each
+    paired with the position at its other end, the vertex classes, the
+    walk order along successors (each vertex after its successors, except
+    on a cycle), the strongly connected component of each vertex, the
+    vertices on cycles, the doubled components and the path counts.  The
+    tables sit in the instance ``__dict__``, as do the class census and
+    the listed admissible sets once a query has derived them; equality,
+    hashing and ``repr`` depend only on ``vertices`` and ``bundles``.
     """
 
     vertices: tuple[str, ...]
     bundles: tuple[Bundle, ...] = ()
 
     def __post_init__(self):
+        for field, what in (("vertices", "names"), ("bundles", "Bundle values")):
+            value = getattr(self, field)
+            if type(value) is not tuple:
+                _collection(value, f"{field} must be a collection of {what}", GraphError)
+                object.__setattr__(self, field, tuple(value))
         position = {}
         for i, v in enumerate(self.vertices):
             if not (isinstance(v, str) and v.isascii() and v.isidentifier()):
@@ -162,36 +179,35 @@ class Graph:
             if v in position:
                 raise GraphError(f"duplicate vertex name {v!r}")
             position[v] = i
-        bundle_at = {}
-        out = {v: [] for v in self.vertices}
-        into = {v: [] for v in self.vertices}
-        classes = dict.fromkeys(self.vertices, VertexClass.SINK)
-        for i, b in enumerate(self.bundles):
+        n = len(self.vertices)
+        bundle_at, classes = {}, [VertexClass.SINK] * n
+        out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+        for j, b in enumerate(self.bundles):
+            if not isinstance(b, Bundle):
+                raise GraphError(f"bundle {j} is not a Bundle: {b!r}")
             name, m = b.name, b.multiplicity
             if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
                 raise GraphError(f"invalid bundle name {name!r}")
             if name in bundle_at:
                 raise GraphError(f"duplicate bundle name {name!r}")
-            bundle_at[name] = i
-            if b.source not in position:
+            bundle_at[name] = j
+            s = position.get(b.source) if isinstance(b.source, str) else None
+            if s is None:
                 raise GraphError(f"bundle {name!r}: unknown source {b.source!r}")
-            if b.range not in position:
+            r = position.get(b.range) if isinstance(b.range, str) else None
+            if r is None:
                 raise GraphError(f"bundle {name!r}: unknown range {b.range!r}")
             if m is OMEGA:
-                classes[b.source] = VertexClass.INFINITE_EMITTER
+                classes[s] = VertexClass.INFINITE_EMITTER
             elif not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise GraphError(
                     f"bundle {name!r}: multiplicity must be a positive integer or omega"
                 )
-            elif classes[b.source] is VertexClass.SINK:
-                classes[b.source] = VertexClass.REGULAR
-            out[b.source].append(b)
-            into[b.range].append(b)
-        out = {v: tuple(bs) for v, bs in out.items()}
-        into = {v: tuple(bs) for v, bs in into.items()}
-        succ = {v: tuple(b.range for b in bs) for v, bs in out.items()}
-        pred = {v: tuple(b.source for b in bs) for v, bs in into.items()}
-        order, sccs, comp_of = _components(self.vertices, succ, pred)
+            elif classes[s] is VertexClass.SINK:
+                classes[s] = VertexClass.REGULAR
+            out[s].append((b, r))
+            into[r].append((b, s))
+        order, comp_of = _components(out, into)
         # A strongly connected component of n vertices has at least n internal
         # edges (counted with multiplicity) when it is nontrivial, and a trivial
         # one has an internal edge iff its vertex has a loop: so the vertices
@@ -199,17 +215,19 @@ class Graph:
         # exactly n, every vertex emits one edge inside it, so it is a lone
         # cycle; with more, some vertex emits two, and each closes a different
         # cycle.  An omega bundle counts as two edges.
-        internal = [0] * len(sccs)
-        for b in self.bundles:
-            c = comp_of[b.source]
-            if comp_of[b.range] == c:
-                internal[c] += 2 if b.multiplicity is OMEGA else b.multiplicity
-        cyclic = frozenset(v for c, vs in enumerate(sccs) if internal[c] for v in vs)
+        internal, size = [0] * n, [0] * n
+        for u, c in enumerate(comp_of):
+            size[c] += 1
+            for b, w in out[u]:
+                if comp_of[w] == c:
+                    internal[c] += 2 if b.multiplicity is OMEGA else b.multiplicity
+        cyclic = frozenset(v for v, c in enumerate(comp_of) if internal[c])
         # A depth-first walk finishes the range of an edge between two
         # components before its source, which the range cannot reach; so,
         # reversed, the walk order lists a vertex off every cycle after the
-        # sources of its incoming bundles.
-        count = {}
+        # sources of its incoming bundles.  None counts infinitely many
+        # paths, and a vertex on a cycle has them.
+        count = [None] * n
         for v in reversed(order):
             heads = None if v in cyclic else _count_through(count, into[v])
             count[v] = None if heads is None else 1 + heads
@@ -219,13 +237,10 @@ class Graph:
             _bundle_at=bundle_at,
             _out=out,
             _into=into,
-            _succ=succ,
-            _pred=pred,
             _classes=classes,
-            _sccs=sccs,
             _comp_of=comp_of,
             _cyclic=cyclic,
-            _doubled=frozenset(c for c, vs in enumerate(sccs) if internal[c] > len(vs)),
+            _doubled=frozenset(c for c, k in enumerate(internal) if k > size[c]),
             _path_counts=count,
         )
 
@@ -250,16 +265,10 @@ class Graph:
             raise UnknownNameError(f"unknown bundle {name!r}") from None
 
     def out_bundles(self, v: str) -> tuple[Bundle, ...]:
-        try:
-            return self._out[v]
-        except (KeyError, TypeError):
-            raise UnknownNameError(f"unknown vertex {v!r}") from None
+        return tuple(b for b, _ in self._out[self.vertex_index(v)])
 
     def in_bundles(self, v: str) -> tuple[Bundle, ...]:
-        try:
-            return self._into[v]
-        except (KeyError, TypeError):
-            raise UnknownNameError(f"unknown vertex {v!r}") from None
+        return tuple(b for b, _ in self._into[self.vertex_index(v)])
 
     # -- edges and paths -------------------------------------------------
 
@@ -268,10 +277,7 @@ class Graph:
 
     def _checked_bundle(self, ref: EdgeRef) -> Bundle:
         """The bundle of ``ref``, after checking that it names one of its edges."""
-        try:
-            b = self.bundles[self._bundle_at[ref.bundle]]
-        except (KeyError, TypeError):
-            raise UnknownNameError(f"unknown bundle {ref.bundle!r}") from None
+        b = self.bundle(ref.bundle)
         if not isinstance(ref.index, int) or isinstance(ref.index, bool):
             raise ContractError(f"edge index must be an int: {ref}")
         if ref.index < 0:
@@ -360,10 +366,7 @@ def render_path(g: Graph, p: Path) -> str:
 
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:
-    try:
-        return g._classes[v]
-    except (KeyError, TypeError):
-        raise UnknownNameError(f"unknown vertex {v!r}") from None
+    return g._classes[g.vertex_index(v)]
 
 
 def is_singular(g: Graph, v: str) -> bool:
@@ -371,7 +374,13 @@ def is_singular(g: Graph, v: str) -> bool:
 
 
 def singular_vertices(g: Graph) -> tuple[str, ...]:
-    return tuple(v for v, c in g._classes.items() if c is not VertexClass.REGULAR)
+    return tuple(map(g.vertices.__getitem__, _singular(g)))
+
+
+def _singular(g: Graph) -> list[int]:
+    """The positions of the singular vertices, in declared order."""
+    regular = VertexClass.REGULAR
+    return [i for i, c in enumerate(g._classes) if c is not regular]
 
 
 def out_degree(g: Graph, v: str) -> Multiplicity:
@@ -386,13 +395,19 @@ def out_degree(g: Graph, v: str) -> Multiplicity:
 
 # -- reachability ------------------------------------------------------
 
+_second = itemgetter(1)
 
-def _postorder(adj: dict, roots) -> list[str]:
-    """Vertices reachable from ``roots`` along ``adj`` (vertex -> neighbours), roots included.
 
-    Each vertex is listed after every neighbour, except one still open on
-    the walk, which happens only on a cycle; so where no cycle is reached
-    the order is children first.  Iterative: no recursion-depth ceiling.
+def _postorder(adj, roots) -> list[int]:
+    """Positions reachable from ``roots`` along ``adj``, roots included.
+
+    ``adj`` maps a position to (label, neighbour) pairs, as ``Graph._out``
+    maps a vertex to (bundle, range) and ``Graph._into`` to (bundle, source).
+
+    Each position is listed after every neighbour, except one still open
+    on the walk, which happens only on a cycle; so where no cycle is
+    reached the order is children first.  Iterative: no recursion-depth
+    ceiling.
     """
     order = []
     seen = set()
@@ -402,7 +417,7 @@ def _postorder(adj: dict, roots) -> list[str]:
         for w in it:
             if w not in seen:
                 seen.add(w)
-                stack.append((w, iter(adj[w])))
+                stack.append((w, map(_second, adj[w])))
                 break
         else:
             stack.pop()
@@ -410,57 +425,61 @@ def _postorder(adj: dict, roots) -> list[str]:
     return order[:-1]
 
 
-def _components(vertices, succ: dict, pred: dict):
-    """The walk order along ``succ``, the SCC partition and each vertex's component index.
+def _components(out: list, into: list) -> tuple[list[int], list[int]]:
+    """The walk order along ``out`` and the strongly connected component of each position.
 
     Kosaraju-Sharir: taken in reverse walk order along successors, a
     vertex not yet placed lies in a component that no unplaced vertex
     outside it reaches, so the unplaced vertices reaching it along
     predecessors are exactly its component.  One walk along predecessors
     from those roots in that order lists each component as one run ending
-    at its root.  Each component is ordered and the components by first
-    vertex, as ``strongly_connected_components`` says.
+    at its root.  The components are numbered by first vertex, as
+    ``strongly_connected_components`` lists them.
     """
-    order = _postorder(succ, vertices)
-    roots = order[::-1]
-    walk = iter(_postorder(pred, roots))
-    root = {}
-    for r in roots:
-        if r not in root:
-            for w in walk:
+    order = _postorder(out, range(len(out)))
+    walk, root = iter(_postorder(into, order[::-1])), [None] * len(out)
+    for r in reversed(order):
+        if root[r] is None:
+            for w in (*takewhile(r.__ne__, walk), r):  # the run of the walk ending at r
                 root[w] = r
-                if w == r:
-                    break
-    members = {}  # component of the first vertex first
-    for v in vertices:
-        members.setdefault(root[v], []).append(v)
-    sccs = tuple(map(tuple, members.values()))
-    return order, sccs, {v: i for i, comp in enumerate(sccs) for v in comp}
+    number = {}  # each root's component
+    return order, [number.setdefault(r, len(number)) for r in root]
 
 
 def tree_of(g: Graph, v: str) -> tuple[str, ...]:
     """All vertices reachable from ``v`` (including ``v``), in declared order."""
-    g.vertex_index(v)
-    return _ordered(g, _postorder(g._succ, (v,)))
+    return _ordered(g, _postorder(g._out, (g.vertex_index(v),)))
 
 
-def _ordered(g: Graph, vs) -> tuple[str, ...]:
-    vs = set(vs)
-    return tuple(v for v in g.vertices if v in vs)
+def _ordered(g: Graph, ps) -> tuple[str, ...]:
+    """The vertices at the positions ``ps``, in declared order."""
+    return tuple(map(g.vertices.__getitem__, sorted(ps)))
 
 
-def _names(hs) -> set:
-    """``hs`` as a set, refusing a bare string, which would read as the set of its characters."""
-    if isinstance(hs, str):
-        raise ContractError(f"a vertex set must be a collection of names, not the string {hs!r}")
-    return set(hs)
+def _check_subset(g: Graph, hs) -> set[int]:
+    """The positions of the vertex set ``hs``: the one place a vertex set's names become them.
+
+    ``vertex_index`` refuses an unknown or unhashable member.
+    """
+    _collection(hs, "a vertex set must be a collection of names", ContractError)
+    return {g.vertex_index(v) for v in hs}
 
 
-def _check_subset(g: Graph, hs) -> set:
-    h = _names(hs)
-    for v in h.difference(g._position):
-        g.vertex_index(v)  # raises UnknownNameError
-    return h
+def _known_subset(g: Graph, hs) -> set[int] | None:
+    """``_check_subset`` of ``hs``, or None if a member is a hashable name of no vertex.
+
+    A caller that accepts only certain vertices refuses such a name as it
+    refuses any other vertex outside them.  If a member is unhashable,
+    ``hs`` is refused as ``_check_subset`` refuses it.
+    """
+    try:
+        return _check_subset(g, hs)
+    except UnknownNameError as unknown:
+        try:
+            set(hs)
+        except TypeError:  # an unhashable member names nothing at all
+            raise unknown from None
+        return None
 
 
 def is_hereditary(g: Graph, h) -> bool:
@@ -468,10 +487,10 @@ def is_hereditary(g: Graph, h) -> bool:
     return _hereditary(g, _check_subset(g, h))
 
 
-def _hereditary(g: Graph, hset) -> bool:
-    """``is_hereditary`` of a set the caller has already validated."""
+def _hereditary(g: Graph, hs) -> bool:
+    """``is_hereditary`` of a set of positions."""
     out = g._out
-    return all(b.range in hset for v in hset for b in out[v])
+    return all(w in hs for v in hs for _, w in out[v])
 
 
 def is_saturated(g: Graph, h) -> bool:
@@ -479,40 +498,40 @@ def is_saturated(g: Graph, h) -> bool:
     return _saturated(g, _check_subset(g, h))
 
 
-def _saturated(g: Graph, hset) -> bool:
-    """``is_saturated`` of a set the caller has already validated."""
-    succ, regular = g._succ, VertexClass.REGULAR
+def _saturated(g: Graph, hs) -> bool:
+    """``is_saturated`` of a set of positions."""
+    out, regular = g._out, VertexClass.REGULAR
     return not any(
-        c is regular and v not in hset and hset.issuperset(succ[v]) for v, c in g._classes.items()
+        c is regular and v not in hs and all(w in hs for _, w in out[v])
+        for v, c in enumerate(g._classes)
     )
 
 
-def _joining_rounds(g: Graph, h) -> dict[str, int]:
+def _joining_rounds(g: Graph, h) -> dict[int, int]:
     """``_rounds`` of ``h``, after checking that it is a hereditary vertex set."""
-    hset = _check_subset(g, h)
-    if not _hereditary(g, hset):
+    hs = _check_subset(g, h)
+    if not _hereditary(g, hs):
         raise ContractError("saturation requires a hereditary set")
-    return _rounds(g, hset)
+    return _rounds(g, hs)
 
 
-def _rounds(g: Graph, hset) -> dict[str, int]:
-    """Each vertex of the saturation of the hereditary set ``hset`` -> the round it joins.
+def _rounds(g: Graph, hs) -> dict[int, int]:
+    """Each position in the saturation of the hereditary set ``hs`` -> the round it joins.
 
     A round adjoins each regular vertex whose edges all land in the set so
-    far: ``hset`` joins in round 0, a regular vertex one round after its
+    far: ``hs`` joins in round 0, a regular vertex one round after its
     last successor.  The set stays hereditary, so a vertex on a cycle never
     joins: its successor on the cycle would join first, and reaches it.
     Off every cycle a vertex comes after all its successors in the walk
-    order, so one pass over it finds every round: O(n + m).  The caller
-    has validated ``hset``.
+    order, so one pass over it finds every round: O(n + m).
     """
-    succ, cyclic, classes, regular = g._succ, g._cyclic, g._classes, VertexClass.REGULAR
+    out, cyclic, classes, regular = g._out, g._cyclic, g._classes, VertexClass.REGULAR
     rounds = {}
     for v in g._order:
-        if v in hset:
+        if v in hs:
             rounds[v] = 0
-        elif classes[v] is regular and v not in cyclic and all(w in rounds for w in succ[v]):
-            rounds[v] = 1 + max(rounds[w] for w in succ[v])
+        elif classes[v] is regular and v not in cyclic and all(w in rounds for _, w in out[v]):
+            rounds[v] = 1 + max(rounds[w] for _, w in out[v])
     return rounds
 
 
@@ -523,7 +542,7 @@ def saturation_stages(g: Graph, h) -> list[tuple[str, ...]]:
     land in the previous stage.  The last stage is the saturation.
     """
     member, stages = [False] * len(g.vertices), []
-    for k, i in sorted((k, g._position[v]) for v, k in _joining_rounds(g, h).items()):
+    for k, i in sorted((k, i) for i, k in _joining_rounds(g, h).items()):
         if k > len(stages):  # rounds run 0, 1, ...: the first of round k closes stage k - 1
             stages.append(tuple(compress(g.vertices, member)))
         member[i] = True
@@ -543,34 +562,37 @@ def breaking_vertices(g: Graph, h) -> tuple[str, ...]:
     emits nothing out of it, and one with an omega bundle into the
     complement has infinitely many escaping edges.
     """
-    hset = _check_subset(g, h)
-    if not _hereditary(g, hset) or not _saturated(g, hset):
+    hs = _check_subset(g, h)
+    if not _hereditary(g, hs) or not _saturated(g, hs):
         raise ContractError("breaking vertices are defined for saturated hereditary sets")
-    return _breaking_vertices(g, hset)
+    return _ordered(g, _breaking_vertices(g, hs))
 
 
-def _breaking_vertices(g: Graph, hset: set) -> tuple[str, ...]:
-    """``breaking_vertices`` of a set the caller has already validated."""
-    out = g._out
+def _breaking_vertices(g: Graph, hs) -> list[int]:
+    """``breaking_vertices`` of a set of positions, as positions in declared order."""
     emitter = VertexClass.INFINITE_EMITTER
-    escaping = {
-        v: [b.multiplicity for b in out[v] if b.range not in hset]
-        for v, c in g._classes.items()
+    return [
+        v
+        for v, c in enumerate(g._classes)
         if c is emitter
-    }
-    return tuple(v for v, ms in escaping.items() if ms and not any(map(is_omega, ms)))
+        and (bs := _escaping(g, hs, v))
+        and not any(is_omega(b.multiplicity) for b in bs)
+    ]
+
+
+def _escaping(g: Graph, hs, v: int) -> list[Bundle]:
+    """The bundles from the position ``v`` whose range lies outside the position set ``hs``."""
+    return [b for b, w in g._out[v] if w not in hs]
 
 
 def escaping_edges(g: Graph, h, v: str) -> tuple[EdgeRef, ...]:
     """The concrete edges from ``v`` whose range lies outside ``h``."""
-    hset = _check_subset(g, h)
+    hs = _check_subset(g, h)
     refs = []
-    for b in g.out_bundles(v):
-        if b.range in hset:
-            continue
+    for b in _escaping(g, hs, g.vertex_index(v)):
         if is_omega(b.multiplicity):
             raise NotFinitelyPresentableError(
-                f"bundle {b.name!r} escapes {sorted(hset)} with multiplicity omega"
+                f"bundle {b.name!r} escapes {sorted(_ordered(g, hs))} with multiplicity omega"
             )
         refs.extend(EdgeRef(b.name, i) for i in range(b.multiplicity))
     return tuple(refs)
@@ -584,8 +606,8 @@ def downward_directed(g: Graph) -> bool:
     this holds iff there is at most one terminal component: O(n + m).
     """
     comp = g._comp_of
-    left = {comp[b.source] for b in g.bundles if comp[b.source] != comp[b.range]}
-    return len(g._sccs) - len(left) <= 1
+    left = {comp[u] for u, es in enumerate(g._out) for _, w in es if comp[w] != comp[u]}
+    return len(set(comp)) - len(left) <= 1
 
 
 # -- strongly connected components and cycles ---------------------------
@@ -594,9 +616,12 @@ def downward_directed(g: Graph) -> bool:
 def strongly_connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """SCC partition, each component ordered, components by first vertex.
 
-    Computed when the graph is built.
+    Read off each vertex's component, found when the graph is built.
     """
-    return g._sccs
+    members = {}  # components are numbered by first vertex
+    for v, c in zip(g.vertices, g._comp_of):
+        members.setdefault(c, []).append(v)
+    return tuple(map(tuple, members.values()))
 
 
 def vertices_on_cycles(g: Graph) -> tuple[str, ...]:
@@ -619,30 +644,24 @@ def bundle_circuits(g: Graph) -> tuple[tuple[Bundle, ...], ...]:
     anchored at its first vertex, so only that vertex starts a walk there:
     a graph of lone cycles costs O(n + m).  Exponential in general.
     """
-    index = g._position
-    out = g._out
-    comp = g._comp_of
-    circuits = []
-    for s in g.vertices:
-        if s not in g._cyclic or (comp[s] not in g._doubled and g._sccs[comp[s]][0] != s):
+    out, comp = g._out, g._comp_of
+    circuits, anchored = [], set()
+    for s in sorted(g._cyclic):
+        if comp[s] in anchored and comp[s] not in g._doubled:
             continue
-        chain = []
-        visited = {s}
-        work = [iter(out[s])]
+        anchored.add(comp[s])
+        # the walk's stack: each vertex of the chain, the bundle into it, its bundles left
+        visited, work = {s}, [(s, None, iter(out[s]))]
         while work:
-            for b in work[-1]:
-                w = b.range
+            for b, w in work[-1][2]:
                 if w == s:
-                    circuits.append(tuple(chain) + (b,))
-                elif comp[w] == comp[s] and index[w] > index[s] and w not in visited:
+                    circuits.append((*(e for _, e, _ in work[1:]), b))
+                elif comp[w] == comp[s] and w > s and w not in visited:
                     visited.add(w)
-                    chain.append(b)
-                    work.append(iter(out[w]))
+                    work.append((w, b, iter(out[w])))
                     break
             else:
-                work.pop()
-                if chain:
-                    visited.remove(chain.pop().range)
+                visited.discard(work.pop()[0])
     return tuple(circuits)
 
 
@@ -688,16 +707,15 @@ def line_points(g: Graph) -> tuple[str, ...]:
     and its successor, if any, is a line point: one children-first pass
     decides every vertex in linear time.
     """
-    cyclic = g._cyclic
-    out = g._out
-    verdict = {}
+    cyclic, out = g._cyclic, g._out
+    verdict = [False] * len(g.vertices)
     # a vertex off every cycle is listed after its successor
     for v in g._order:
-        bs = out[v]
-        verdict[v] = not bs or (
-            v not in cyclic and len(bs) == 1 and bs[0].multiplicity == 1 and verdict[bs[0].range]
+        es = out[v]
+        verdict[v] = not es or (
+            v not in cyclic and len(es) == 1 and es[0][0].multiplicity == 1 and verdict[es[0][1]]
         )
-    return tuple(v for v in g.vertices if verdict[v])
+    return tuple(compress(g.vertices, verdict))
 
 
 def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]]:
@@ -707,36 +725,38 @@ def line_through(g: Graph, v: str) -> tuple[tuple[str, ...], tuple[EdgeRef, ...]
     two or more edges; off every cycle no vertex comes back, so the walk
     ends at a sink after at most n steps.
     """
-    g.vertex_index(v)
+    i = g.vertex_index(v)
     chain, edges = [v], []
-    while bs := g._out[chain[-1]]:
-        if chain[-1] in g._cyclic or len(bs) > 1 or bs[0].multiplicity != 1:
+    while es := g._out[i]:
+        if i in g._cyclic or len(es) > 1 or es[0][0].multiplicity != 1:
             raise ContractError(f"{v!r} is not a line point")
-        edges.append(EdgeRef(bs[0].name, 0))
-        chain.append(bs[0].range)
+        b, i = es[0]
+        edges.append(EdgeRef(b.name, 0))
+        chain.append(b.range)
     return tuple(chain), tuple(edges)
 
 
 # -- path counting -------------------------------------------------------
 
 
-def _count_through(count: dict, bundles) -> int | None:
-    """Sum of multiplicity x ``count[source]`` over ``bundles``; None if a term is infinite."""
-    if any(is_omega(b.multiplicity) or count[b.source] is None for b in bundles):
+def _count_through(count: list, entries: list) -> int | None:
+    """Sum of multiplicity x ``count[u]`` over (bundle, source u); None if a term is infinite."""
+    if any(b.multiplicity is OMEGA or count[u] is None for b, u in entries):
         return None
-    return sum(b.multiplicity * count[b.source] for b in bundles)
+    return sum(b.multiplicity * count[u] for b, u in entries)
 
 
 def _paths_ending(g: Graph, stops, exits: dict) -> list[Path]:
-    """Every path into a vertex of ``stops`` or ending with an edge of ``exits``.
+    """Every path into a vertex at a position of ``stops`` or ending with an edge of ``exits``.
 
-    ``exits`` maps a vertex to bundles leaving it, whose ancestry must be acyclic with
+    ``exits`` maps a position to bundles leaving it, whose ancestry must be acyclic with
     finite multiplicities; a stop with infinitely many paths raises.  The paths come in
     ``path_key`` order.
     """
     rows = _rows(g, stops, exits, _edge_head, ())
+    ends = map(vertex_path, sorted(_ordered(g, stops)))
     # an edge row is never empty, so it makes a valid path without Path's check
-    return [*map(vertex_path, sorted(stops)), *[tuple.__new__(Path, (None, e)) for e in rows]]
+    return [*ends, *[tuple.__new__(Path, (None, e)) for e in rows]]
 
 
 def _edge_head(b: Bundle, i: int) -> tuple[EdgeRef]:
@@ -750,18 +770,19 @@ def _text_head(b: Bundle, i: int) -> str:
 def _rows(g: Graph, stops, exits: dict, head, empty) -> list:
     """The rows (``_tails``) of the positive-length paths ``_paths_ending`` lists, in order."""
     for v in stops:
-        if count_paths_into(g, v) is None:
+        if g._path_counts[v] is None:
             raise NotFinitelyPresentableError(
-                f"infinitely many paths end at {v!r} (a cycle or omega bundle feeds it)"
+                f"infinitely many paths end at {g.vertices[v]!r} "
+                "(a cycle or omega bundle feeds it)"
             )
-    ancestors = _postorder(g._pred, [*stops, *exits])
+    ancestors = _postorder(g._into, [*stops, *exits])
     # reversed, the order lists every ancestor after the ranges of its bundles
     _, firsts = _tails(g, reversed(ancestors), stops, exits, head, empty)
     return [row for rows in _joined(firsts) for row in rows]
 
 
-def _tails(g: Graph, order, stops, exits: dict, head, empty) -> tuple[dict[str, list], list]:
-    """Each vertex u of ``order`` -> the rows of its paths (``_rows``) by length; every step.
+def _tails(g: Graph, order, stops, exits: dict, head, empty) -> tuple[dict[int, list], list]:
+    """Each position u of ``order`` -> the rows of its paths (``_rows``) by length; every step.
 
     A path's row is ``head(b, i)`` of its first edge, edge i of bundle b, plus the row of
     the rest; a vertex path's row is ``empty``.  Entry n holds the rows of u's paths of
@@ -770,10 +791,10 @@ def _tails(g: Graph, order, stops, exits: dict, head, empty) -> tuple[dict[str, 
     after the ranges of its bundles that it lists at all; a range it leaves out has no
     paths.  Each row is built once.
     """
-    stops = set(stops)
+    out, stops = g._out, set(stops)
     tails, firsts = {}, []
     for u in order:
-        steps = [(b, _extend(b, tails[b.range], head)) for b in g._out[u] if b.range in tails]
+        steps = [(b, _extend(b, tails[w], head)) for b, w in out[u] if w in tails]
         steps += [(b, _extend(b, [[empty]], head)) for b in exits.get(u, ())]
         tails[u] = [[empty] if u in stops else []] + _joined(steps)
         firsts += steps
@@ -808,8 +829,7 @@ def count_paths_into(g: Graph, v: str) -> int | None:
     Returns None when the count is countably infinite, i.e. when a cycle
     passes through an ancestor of ``v`` or an omega bundle lands on one.
     """
-    g.vertex_index(v)
-    return g._path_counts[v]
+    return g._path_counts[g.vertex_index(v)]
 
 
 def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
@@ -817,19 +837,19 @@ def paths_into(g: Graph, v: str) -> tuple[Path, ...]:
 
     Raises when the set is infinite (see ``count_paths_into``).
     """
-    return tuple(_paths_ending(g, (v,), {}))
+    return tuple(_paths_ending(g, (g.vertex_index(v),), {}))
 
 
 # -- paths entering a vertex set -------------------------------------------
 
 
-def _entering(g: Graph, tset) -> list[Bundle]:
-    """The bundles with range in ``tset`` and source outside it, in declared order.
+def _entering(g: Graph, ts) -> list[tuple[Bundle, int]]:
+    """Each bundle with range in the position set ``ts`` and source outside it, with its source.
 
-    The caller has validated ``tset``.
+    In declared bundle order.
     """
-    at = sorted(g._bundle_at[b.name] for v in tset for b in g._into[v] if b.source not in tset)
-    return [g.bundles[i] for i in at]
+    found = [(b, u) for v in ts for b, u in g._into[v] if u not in ts]
+    return sorted(found, key=lambda entry: g._bundle_at[entry[0].name])
 
 
 def count_entry_paths(g: Graph, t) -> int | None:
@@ -853,23 +873,21 @@ def entry_paths(g: Graph, t, what: str) -> tuple[Path, ...]:
     return tuple(_paths_ending(g, (), exits)) if exits else ()
 
 
-def _entry_exits(g: Graph, tset, what: str) -> dict[str, list[Bundle]]:
-    """The ``exits`` that list ``entry_paths``: each source of a bundle entering ``tset`` -> those.
+def _entry_exits(g: Graph, ts, what: str) -> dict[int, list[Bundle]]:
+    """The ``exits`` that list ``entry_paths``: each source of a bundle entering ``ts`` -> those.
 
-    The caller has validated ``tset``.
+    ``ts`` is a set of positions, and so are the keys.
     """
     exits = {}
-    for b in _entering(g, tset):
-        reason = None
+    for b, u in _entering(g, ts):
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
-        elif g._path_counts[b.source] is None:
-            cyclic = sorted(g._cyclic.intersection(_postorder(g._pred, (b.source,))))
-            if cyclic:
-                reason = f"a cycle through {cyclic[0]!r} reaches {what}"
-            else:
-                reason = f"an omega bundle feeds the crossing edge {b.name!r}"
-        if reason:
-            raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
-        exits.setdefault(b.source, []).append(b)
+        elif g._path_counts[u] is not None:
+            exits.setdefault(u, []).append(b)
+            continue
+        elif cyclic := g._cyclic.intersection(_postorder(g._into, (u,))):
+            reason = f"a cycle through {min(_ordered(g, cyclic))!r} reaches {what}"
+        else:
+            reason = f"an omega bundle feeds the crossing edge {b.name!r}"
+        raise NotFinitelyPresentableError(f"{reason}; infinitely many paths enter {what}")
     return exits

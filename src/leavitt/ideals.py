@@ -22,7 +22,7 @@ from .graph import (
     _check_subset,
     _entry_exits,
     _hereditary,
-    _names,
+    _known_subset,
     _ordered,
     _paths_ending,
     _rounds,
@@ -49,39 +49,38 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     return _checked_pair(g, h, s)[0]
 
 
-def _certified(g: Graph, h) -> tuple[str, ...] | None:
-    """The breaking vertices of ``h`` if ``enumerate_admissible_pairs`` listed it on ``g``.
+def _certified(g: Graph, h) -> tuple[frozenset[int], list[int]] | None:
+    """The positions of ``h`` and of its breaking vertices, if recorded when ``h`` was listed.
 
-    Only a tuple equal to a listed H matches, so one in vertex order; for
-    any other ``h`` (a list, another order, a set never listed on this
-    instance) it gives None, and the caller checks ``h`` in full.
+    ``enumerate_admissible_pairs`` records them.  Only a tuple equal to a
+    listed H matches, so one in vertex order; for any other ``h`` (a list,
+    another order, a set never listed on this instance) it gives None, and
+    the caller checks ``h`` in full.
     """
     listed = g.__dict__.get("_certified")
     if listed is None or type(h) is not tuple:
         return None
     try:
         return listed.get(h)
-    except TypeError:  # an unhashable member: the full check refuses it
+    except TypeError:  # an unhashable member: the full check refuses it as an unknown vertex
         return None
 
 
 def _checked_pair(g: Graph, h, s) -> tuple[AdmissiblePair, tuple[str, ...]]:
     """``admissible_pair`` plus the breaking vertices of ``h``, validating ``h`` once."""
-    breaking = _certified(g, h)
+    hs, breaking = _certified(g, h) or (_check_subset(g, h), None)
+    ss = _known_subset(g, s)
     if breaking is None:
-        hset = _check_subset(g, h)
-        sset = _names(s)
-        if not _hereditary(g, hset):
+        if not _hereditary(g, hs):
             raise ContractError("H must be hereditary")
-        if not _saturated(g, hset):
+        if not _saturated(g, hs):
             raise ContractError("H must be saturated")
-        breaking = _breaking_vertices(g, hset)
-        h = _ordered(g, hset)
-    else:
-        sset = _names(s)
-    if not sset <= set(breaking):
-        raise ContractError(f"S must consist of breaking vertices of H; got {sorted(sset)}")
-    return AdmissiblePair(h, _ordered(g, sset)), breaking
+        breaking = _breaking_vertices(g, hs)
+        h = _ordered(g, hs)
+    if ss is None or not ss.issubset(breaking):
+        got = sorted(set(s), key=str)  # as text: a name that is no str cannot break the sort
+        raise ContractError(f"S must consist of breaking vertices of H; got {got}")
+    return AdmissiblePair(h, _ordered(g, ss)), _ordered(g, breaking)
 
 
 def _fresh(base: str, taken: set) -> str:
@@ -152,23 +151,25 @@ def ideal_graph(g: Graph, h) -> Graph:
     that vertex to the path's range.  When the saturation is every vertex
     the result is ``g`` itself, and when it is empty the empty graph.
     """
-    if _certified(g, h) is None:
-        hset = _check_subset(g, h)
-        if not _hereditary(g, hset):
+    listed = _certified(g, h)
+    if listed is None:
+        hs = _check_subset(g, h)
+        if not _hereditary(g, hs):
             raise ContractError("ideal graphs are built from hereditary sets")
-        h = _ordered(g, _rounds(g, hset))
-    # else h is a listed saturated hereditary set: its own saturation
-    if len(h) == len(g.vertices):
+    # a listed saturated hereditary set is its own saturation
+    hs = _rounds(g, hs) if listed is None else listed[0]
+    if len(hs) == len(g.vertices):
         # No bundle enters V, so there is no entry vertex, and every bundle
         # has its source in V: the vertices and bundles are g's, in order.
         return g
-    if not h:
+    if not hs:
         # No bundle has its source in, or enters, the empty set.
         return _EMPTY
+    h = _ordered(g, hs)
     taken, entries = set(h), []
     bundles = [b for b in g.bundles if b.source in taken]
     bundle_names = {b.name for b in bundles}
-    exits = _entry_exits(g, taken, "the saturation")
+    exits = _entry_exits(g, hs, "the saturation")
     for p in _paths_ending(g, (), exits) if exits else ():
         # bundle names never contain '#', so this keeps entry names valid
         name = _fresh(render_path(g, p).replace("#", "_"), taken)
@@ -193,7 +194,7 @@ def _closed(ranges, m: int) -> int:
     return m
 
 
-def _walk_masks(g: Graph, bit: dict) -> tuple[list[int], list[tuple[int, int]]]:
+def _walk_masks(g: Graph) -> tuple[list[int], list[tuple[int, int]]]:
     """Each vertex's tree as a mask, in declared order, and the ``ranges`` of ``_closed``.
 
     One pass over the walk order ORs into each strongly connected
@@ -205,18 +206,18 @@ def _walk_masks(g: Graph, bit: dict) -> tuple[list[int], list[tuple[int, int]]]:
     unvisited one).  So w's component, with every reach it ORs in, is
     complete when u reads it.
     """
-    succ, comp = g._succ, g._comp_of
-    reach = [0] * len(g._sccs)
+    out, comp, classes = g._out, g._comp_of, g._classes
+    reach = [0] * len(g.vertices)  # by component
     ranges = []
     for v in g._order:
-        m, r = reach[comp[v]] | bit[v], 0
-        for w in succ[v]:
+        m, r = reach[comp[v]] | 1 << v, 0
+        for _, w in out[v]:
             m |= reach[comp[w]]
-            r |= bit[w]
+            r |= 1 << w
         reach[comp[v]] = m
-        if g._classes[v] is VertexClass.REGULAR:
-            ranges.append((bit[v], r))
-    return [reach[comp[v]] for v in g.vertices], ranges
+        if classes[v] is VertexClass.REGULAR:
+            ranges.append((1 << v, r))
+    return [reach[c] for c in comp], ranges
 
 
 def _saturated_hereditary_masks(g: Graph) -> list[int]:
@@ -238,8 +239,7 @@ def _saturated_hereditary_masks(g: Graph) -> list[int]:
     n times as many tests as there are sets.  Iterative, with an
     explicit stack.
     """
-    bit = {v: 1 << g._position[v] for v in g.vertices}
-    trees, ranges = _walk_masks(g, bit)
+    trees, ranges = _walk_masks(g)
     found = []
     stack = [(0, 0, 0)]  # (C, X, first undecided position); the empty set is saturated
     while stack:
@@ -253,7 +253,7 @@ def _saturated_hereditary_masks(g: Graph) -> list[int]:
                 stack.append((wider, x, j + 1))
             x |= b
         found.append(c)
-    ends = [(bit[b.source], bit[b.range]) for b in g.bundles]
+    ends = [(1 << u, 1 << w) for u, es in enumerate(g._out) for _, w in es]
     regular = sum(b for b, _ in ranges)
     for m in found:  # hereditary, and no regular vertex outside m has all ranges in m
         escaping = sum({s for s, r in ends if not m & r})  # sources leaving m: distinct bits
@@ -270,8 +270,8 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     ``_saturated_hereditary_masks``), so the time grows with the output,
     not with the 2^n vertex subsets, and each set is certified saturated
     and hereditary again.  Every S within its breaking vertices is listed.
-    Each H is recorded on ``g`` with its breaking vertices, so
-    ``admissible_pair``, ``quotient_graph`` and ``ideal_graph`` of a listed
+    Each H is recorded on ``g`` with its positions and breaking vertices,
+    so ``admissible_pair``, ``quotient_graph`` and ``ideal_graph`` of a listed
     H check only S; the record lives as long as ``g``.
 
     Guarded: refuses graphs with more than PAIR_ENUMERATION_LIMIT
@@ -288,8 +288,9 @@ def enumerate_admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     sets.sort(key=lambda positions: (len(positions), positions))
     pairs, certified = [], {}
     for positions in sets:
-        h = tuple(g.vertices[i] for i in positions)
-        br = certified[h] = _breaking_vertices(g, set(h))
+        h, hs = _ordered(g, positions), frozenset(positions)
+        certified[h] = hs, _breaking_vertices(g, hs)
+        br = _ordered(g, certified[h][1])
         for ssize in range(len(br) + 1):
             for scombo in combinations(br, ssize):
                 pairs.append(AdmissiblePair(h, scombo))

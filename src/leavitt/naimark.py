@@ -24,8 +24,9 @@ from .boundary import BoundaryPath, ClassCensus, enumerate_classes
 from .errors import InternalInvariantError, UnsupportedGraphError
 from .graph import (
     Graph,
+    VertexClass,
+    _singular,
     has_cycle,
-    is_singular,
     line_points,
     saturate,
     saturation_stages,
@@ -144,49 +145,52 @@ def composition_series(g: Graph, reverse: bool = False) -> CompositionSeries:
     """
     if has_cycle(g):
         raise UnsupportedGraphError("graph has a cycle")
-    out, pred, position, singular = g._out, g._pred, g._position, set(singular_vertices(g))
-    exits = {v: len(bs) for v, bs in out.items()}  # out-bundles with range outside H
-    step, member, line_next, heap, stack = {}, [False] * len(g.vertices), {}, [], list(g.vertices)
+    vs, out, into, singular = g.vertices, g._out, g._into, set(_singular(g))
+    exits = [len(es) for es in out]  # out-bundles with range outside H
+    step, member, line_next, heap, stack = {}, [False] * len(vs), {}, [], list(range(len(vs)))
     sign, pairs, factors = -1 if reverse else 1, [AdmissiblePair(())], []
-    while len(step) < len(g.vertices):
+    while len(step) < len(vs):
         while stack:  # new line points (they only accrue), and breaking ones now ending a line
             u = stack.pop()
-            if u in step or exits[u] > 1 or u in line_next and (exits[u] or not line_next[u]):
+            if u in step or exits[u] > 1 or u in line_next and (exits[u] or line_next[u] is None):
                 continue
             if exits[u]:  # via a line point r, unless r is breaking: emits, and is singular
-                ((mult, r),) = ((b.multiplicity, b.range) for b in out[u] if b.range not in step)
-                if mult != 1 or r not in line_next or exits[r] and r in singular:
+                ((m, r),) = ((b.multiplicity, w) for b, w in out[u] if w not in step)
+                if m != 1 or r not in line_next or exits[r] and r in singular:
                     continue
             line_next[u] = r if exits[u] else None
-            heappush(heap, sign * position[u])
-            stack.extend(pred[u])
-        while g.vertices[sign * heap[0]] in step:
+            heappush(heap, sign * u)
+            stack.extend(w for _, w in into[u])
+        while sign * heap[0] in step:
             heappop(heap)
-        w = t = g.vertices[sign * heap[0]]
+        w = t = sign * heap[0]
         while exits[t]:
             t = line_next[t]
-        factors.append(CompositionFactor(g._path_counts[t], w))
+        factors.append(CompositionFactor(g._path_counts[t], vs[w]))
         for x in (joined := [t]):
-            step[x], member[position[x]] = len(pairs), True
-            for u in pred[x]:
+            step[x], member[x] = len(pairs), True
+            for _, u in into[x]:
                 exits[u] -= 1
                 stack.append(u)
                 if not exits[u] and u not in singular:
                     joined.append(u)
-        pairs.append(AdmissiblePair(tuple(compress(g.vertices, member))))
+        pairs.append(AdmissiblePair(tuple(compress(vs, member))))
     _certify_chain(g, step)
     return CompositionSeries(tuple(pairs), tuple(factors))
 
 
-def _certify_chain(g: Graph, step: dict[str, int]) -> None:
+def _certify_chain(g: Graph, step: dict[int, int]) -> None:
     """Check in O(n + m) what ``admissible_pair`` checks on each H_i = {v : step[v] <= i}.
 
-    All H_i are hereditary iff no bundle runs to a later step, and saturated iff each regular
-    vertex joins by its last successor's step; S = {} is always a set of breaking vertices.
+    ``step`` maps each position to its step.  All H_i are hereditary iff no bundle runs to a
+    later step, and saturated iff each regular vertex joins by its last successor's step;
+    S = {} is always a set of breaking vertices.
     """
+    out, classes, regular, vs = g._out, g._classes, VertexClass.REGULAR, g.vertices
     for v, k in step.items():
-        if (last := max([0, *map(step.get, g._succ[v])])) > k or last < k and not is_singular(g, v):
-            raise InternalInvariantError(f"pair {min(k, last)} is not admissible at {v!r}")
+        last = max([0, *(step[w] for _, w in out[v])])
+        if last > k or last < k and classes[v] is regular:
+            raise InternalInvariantError(f"pair {min(k, last)} is not admissible at {vs[v]!r}")
 
 
 @dataclass(frozen=True)

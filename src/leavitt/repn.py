@@ -32,10 +32,12 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _check_subset,
     _entry_exits,
     _paths_ending,
     _postorder,
     _rows,
+    _singular,
     _text_head,
     concat,
     count_entry_paths,
@@ -68,9 +70,9 @@ class BoundaryRepresentation:
     def __init__(self, g: Graph):
         _require_acyclic_finite(g, "the representation")
         self.graph = g
-        sinks = singular_vertices(g)
+        sinks = _singular(g)
         self.basis = basis = tuple(_paths_ending(g, sinks, {}))
-        block_of = {t: c for c, t in enumerate(sinks)}
+        block_of = {g.vertices[t]: c for c, t in enumerate(sinks)}
         self.class_of = class_of = [block_of[g.path_range(p)] for p in basis]
         blocks = [[] for _ in sinks]
         by_source = {v: [] for v in g.vertices}
@@ -111,8 +113,8 @@ class BoundaryRepresentation:
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        sinks = singular_vertices(self.graph)
-        return (*sorted(sinks), *_rows(self.graph, sinks, {}, _text_head, ""))
+        g = self.graph
+        return (*sorted(singular_vertices(g)), *_rows(g, _singular(g), {}, _text_head, ""))
 
     @property
     def dimension(self) -> int:
@@ -307,9 +309,9 @@ def _one_orbit(R: BoundaryRepresentation, c: int) -> bool:
     """
     block = R.classes[c]
     moves, back = defaultdict(list), defaultdict(list)
-    for j, i in _block_moves(R, c):
-        moves[j].append(i)
-        back[i].append(j)
+    for j, i in _block_moves(R, c):  # _postorder reads (label, neighbour) pairs
+        moves[j].append((j, i))
+        back[i].append((i, j))
     x = block[:1]
     return set(_postorder(moves, x)) == set(block) and len(_postorder(back, x)) == len(block)
 
@@ -333,8 +335,8 @@ def verify_irreducible_block(
         return True, dict.fromkeys(whole, whole)
     every = defaultdict(list)
     for m in R._maps.values():
-        for j, i in m.items():
-            every[j].append(i)
+        for move in m.items():
+            every[move[0]].append(move)
     # the basis is sorted by path_key, so positions sort the same way
     return False, {
         basis[start]: tuple(basis[i] for i in sorted(_postorder(every, (start,))))
@@ -443,7 +445,8 @@ def lambda_texts(g: Graph, v: str) -> tuple[str, ...]:
     Lists text rows only: no member is built as a path.
     """
     chain, _ = line_through(g, v)
-    return (*chain, *_rows(g, (), _entry_exits(g, set(chain), "the line"), _text_head, ""))
+    exits = _entry_exits(g, _check_subset(g, chain), "the line")
+    return (*chain, *_rows(g, (), exits, _text_head, ""))
 
 
 def lambda_size(g: Graph, v: str) -> int | None:

@@ -116,6 +116,22 @@ def test_parse_rejects_garbage():
         parse_path(LINE3, "fe")  # does not compose
 
 
+def test_parse_reads_ascii_integers_and_refuses_a_zero_denominator():
+    # "3/0*" raised ZeroDivisionError, and \d read Arabic-Indic digits as 3 and 1
+    with pytest.raises(ContractError) as err:
+        parse_element(LINE3, "3/0*p_u")
+    assert str(err.value) == "coefficient '3/0' has a zero denominator"
+    assert parse_element(LINE3, "3/1*p_u") == parse_element(LINE3, "3*p_u")
+    with pytest.raises(ContractError, match="^cannot parse monomial '\u0663\\*p_u'$"):
+        parse_element(LINE3, "\u0663*p_u")
+    with pytest.raises(ContractError, match="^cannot parse monomial "):
+        parse_element(LINE3, "3/\u0661*p_u")
+    g = Graph(("u", "v"), (Bundle("e", "u", "v", 2),))
+    with pytest.raises(ContractError, match="^cannot parse path "):
+        parse_path(g, "e#\u0661")
+    assert parse_path(g, "e#1") == Path(edges=(EdgeRef("e", 1),))
+
+
 def test_parse_path_multiplicity_needs_index():
     g = Graph(("u", "v"), (Bundle("e", "u", "v", 2),))
     assert parse_path(g, "e#1") == Path(edges=(EdgeRef("e", 1),))

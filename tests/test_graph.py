@@ -16,12 +16,15 @@ from leavitt import (
     Monomial,
     Path,
     VertexClass,
+    admissible_pair,
     breaking_vertices,
     classify_vertex,
     concat,
     count_paths_into,
     downward_directed,
+    gap_projection,
     has_cycle,
+    ideal_graph,
     is_hereditary,
     is_omega,
     is_saturated,
@@ -46,6 +49,7 @@ from leavitt.errors import (
 from leavitt.graph import (
     _text_head,
     count_entry_paths,
+    entry_paths,
     escaping_edges,
     line_through,
     out_degree,
@@ -122,6 +126,51 @@ def test_construction_errors_name_the_first_fault(vertices, bundles, message):
     with pytest.raises(GraphError) as err:
         Graph(vertices, bundles)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "vertices, bundles, message",
+    [
+        ("ab", (), "vertices must be a collection of names, not the string 'ab'"),
+        (None, (), "vertices must be a collection of names, not None"),
+        (3, (), "vertices must be a collection of names, not 3"),
+        (("v",), "e", "bundles must be a collection of Bundle values, not the string 'e'"),
+        (("v",), None, "bundles must be a collection of Bundle values, not None"),
+        (("v",), (("e", "v", "v"),), "bundle 0 is not a Bundle: ('e', 'v', 'v')"),
+        (("v",), (Bundle("e", "v", "v"), ["f"]), "bundle 1 is not a Bundle: ['f']"),
+        (("v",), (Bundle("e", ["v"], "v"),), "bundle 'e': unknown source ['v']"),
+        (("v",), (Bundle("e", "v", {"v"}),), "bundle 'e': unknown range {'v'}"),
+    ],
+    ids=[
+        "string_vertices",
+        "none_vertices",
+        "int_vertices",
+        "string_bundles",
+        "none_bundles",
+        "tuple_bundle",
+        "list_bundle_second",
+        "unhashable_source",
+        "unhashable_range",
+    ],
+)
+def test_malformed_presentations_are_refused(vertices, bundles, message):
+    # "ab" was read as the vertices a and b, None raised a bare TypeError and a
+    # plain tuple as a bundle an AttributeError
+    with pytest.raises(GraphError) as err:
+        Graph(vertices, bundles)
+    assert str(err.value) == message
+
+
+def test_lists_give_the_equal_hashable_graph():
+    g = Graph(("u", "v"), (Bundle("e", "u", "v", 2),))
+    for h in (
+        Graph(["u", "v"], [Bundle("e", "u", "v", 2)]),
+        Graph(iter(("u", "v")), (b for b in g.bundles)),
+    ):
+        assert type(h.vertices) is tuple and type(h.bundles) is tuple
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert count_paths_into(h, "v") == 3
+    assert hash(Graph(["a"])) == hash(Graph(("a",)))
 
 
 def test_equal_presentations_give_equal_graphs():
@@ -385,6 +434,40 @@ def test_a_bare_string_is_not_a_vertex_set():
         escaping_edges(g, "ab", "ab")
     assert count_entry_paths(g, ("ab",)) == 0 and count_entry_paths(g, ("a", "b")) == 2
     assert not is_hereditary(g, ("ab",))
+
+
+SET_CALLS = {
+    "is_hereditary": is_hereditary,
+    "is_saturated": is_saturated,
+    "saturate": saturate,
+    "saturation_stages": saturation_stages,
+    "breaking_vertices": breaking_vertices,
+    "escaping_edges": lambda g, h: escaping_edges(g, h, "u"),
+    "count_entry_paths": count_entry_paths,
+    "entry_paths": lambda g, h: entry_paths(g, h, "the set"),
+    "admissible_pair_h": admissible_pair,
+    "admissible_pair_s": lambda g, s: admissible_pair(g, (), s),
+    "ideal_graph": ideal_graph,
+    "gap_projection": lambda g, h: gap_projection(g, h, "u"),
+}
+
+
+@pytest.mark.parametrize("call", SET_CALLS.values(), ids=SET_CALLS)
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ([["u"]], UnknownNameError, "unknown vertex ['u']"),
+        (("w", {"v"}), UnknownNameError, "unknown vertex {'v'}"),
+        (None, ContractError, "a vertex set must be a collection of names, not None"),
+        (3, ContractError, "a vertex set must be a collection of names, not 3"),
+    ],
+    ids=["unhashable", "unhashable_after_a_name", "none", "int"],
+)
+def test_vertex_sets_refuse_bad_members(call, bad, error, message):
+    # each raised a bare TypeError
+    with pytest.raises(error) as err:
+        call(LINE3, bad)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_saturation_stages_grow_to_fixed_point():

@@ -23,7 +23,12 @@ from leavitt import (
     quotient_graph,
     quotient_with_map,
 )
-from leavitt.errors import ContractError, NotFinitelyPresentableError, SizeGuardError
+from leavitt.errors import (
+    ContractError,
+    NotFinitelyPresentableError,
+    SizeGuardError,
+    UnknownNameError,
+)
 
 from sweeputil import random_graph
 
@@ -72,6 +77,27 @@ def test_a_bare_string_is_not_s():
             with pytest.raises(ContractError, match=message):
                 call()
         assert admissible_pair(g, ("b",), ("a",)) == AdmissiblePair(("b",), ("a",))
+
+
+def test_s_refuses_names_of_no_vertex_as_not_breaking():
+    g = Graph(("a", "b", "t"), (Bundle("e", "a", "t"), Bundle("f", "a", "b", OMEGA)))
+    for listed in (False, True):
+        if listed:  # ("b",) is then recorded, and only S is checked
+            enumerate_admissible_pairs(g)
+        cases = [(("zz",), "['zz']"), (("a", "zz"), "['a', 'zz']"), (("t",), "['t']")]
+        cases.append((("zz", 3), "[3, 'zz']"))  # sorting the names raised a bare TypeError
+        for s, got in cases:
+            with pytest.raises(ContractError) as err:
+                admissible_pair(g, ("b",), s)
+            assert type(err.value) is ContractError
+            assert str(err.value) == f"S must consist of breaking vertices of H; got {got}"
+        # with an unhashable member, S is refused as H is: by its first member naming no vertex
+        for s, first in (((["u"], "zz"), "['u']"), (("zz", ["u"]), "'zz'")):
+            with pytest.raises(UnknownNameError) as err:
+                admissible_pair(g, ("b",), s)
+            assert str(err.value) == f"unknown vertex {first}"
+    with pytest.raises(ContractError, match="H must be hereditary"):
+        admissible_pair(g, ("a",), ("zz",))  # H is checked before S's membership
 
 
 def test_admissible_pair_validation():

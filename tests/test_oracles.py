@@ -56,6 +56,12 @@ multiplicities 1, 2 and omega and on every acyclic sweep graph.  ``parse_path``
 listed every segmentation of its text and checked each; that listing is
 kept and compared with the count of readings on hypothesis texts.
 
+The graph's construction tables were keyed by vertex name.  That
+construction is kept here as ``name_keyed_tables`` and compared, table by
+table with every position read as its name, on hypothesis graphs with
+multiplicities 1, 2 and omega and on the sweep; the oracles below that
+walk the graph's adjacency read it from those name-keyed tables.
+
 Admissible pairs came from a walk over all 2^n vertex subsets, testing
 each for being hereditary and saturated.  It is kept here and compared,
 as the exact ordered tuple, with the flashlight search on hypothesis
@@ -164,6 +170,7 @@ import string
 import time
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, islice
 
 import pytest
@@ -215,12 +222,12 @@ from leavitt.graph import (  # noqa: E402
     Graph,
     Path,
     VertexClass,
+    _check_subset,
     _edge_head,
     _entering,
     _entry_exits,
     _least_rotation,
     _paths_ending,
-    _postorder,
     _rows,
     _text_head,
     breaking_vertices,
@@ -329,6 +336,124 @@ def acyclic_graphs(draw):
 # -- the replaced algorithms ---------------------------------------------------
 
 
+def walk_by_name(adj, roots):
+    """Vertices reachable from ``roots`` along ``adj`` (vertex -> neighbours), children first.
+
+    The walk the name-keyed construction made: each vertex after every
+    neighbour, except one still open on the walk.
+    """
+    order = []
+    seen = set()
+    stack = [(None, iter(roots))]  # a virtual vertex over the roots, listed last
+    while stack:
+        u, it = stack[-1]
+        for w in it:
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            order.append(u)
+    return order[:-1]
+
+
+def name_keyed_components(vertices, succ, pred):
+    """The walk order, the SCC partition and each vertex's component, over name-keyed tables."""
+    order = walk_by_name(succ, vertices)
+    roots = order[::-1]
+    walk = iter(walk_by_name(pred, roots))
+    root = {}
+    for r in roots:
+        if r not in root:
+            for w in walk:
+                root[w] = r
+                if w == r:
+                    break
+    members = {}  # component of the first vertex first
+    for v in vertices:
+        members.setdefault(root[v], []).append(v)
+    sccs = tuple(map(tuple, members.values()))
+    return order, sccs, {v: i for i, comp in enumerate(sccs) for v in comp}
+
+
+@lru_cache(maxsize=16)
+def name_keyed_tables(g):
+    """Every construction table keyed by vertex name, as the graph was built before positions.
+
+    The graph has validated the presentation; the tables are built as
+    ``Graph.__post_init__`` built them, with every vertex a name.  The
+    oracles of one graph run one after another, so a few recent graphs are
+    kept; callers must not change the tables.
+    """
+    out = {v: [] for v in g.vertices}
+    into = {v: [] for v in g.vertices}
+    classes = dict.fromkeys(g.vertices, VertexClass.SINK)
+    for b in g.bundles:
+        if b.multiplicity is OMEGA:
+            classes[b.source] = VertexClass.INFINITE_EMITTER
+        elif classes[b.source] is VertexClass.SINK:
+            classes[b.source] = VertexClass.REGULAR
+        out[b.source].append(b)
+        into[b.range].append(b)
+    out = {v: tuple(bs) for v, bs in out.items()}
+    into = {v: tuple(bs) for v, bs in into.items()}
+    succ = {v: tuple(b.range for b in bs) for v, bs in out.items()}
+    pred = {v: tuple(b.source for b in bs) for v, bs in into.items()}
+    order, sccs, comp_of = name_keyed_components(g.vertices, succ, pred)
+    internal = [0] * len(sccs)
+    for b in g.bundles:
+        c = comp_of[b.source]
+        if comp_of[b.range] == c:
+            internal[c] += 2 if b.multiplicity is OMEGA else b.multiplicity
+    cyclic = frozenset(v for c, vs in enumerate(sccs) if internal[c] for v in vs)
+    count = {}
+    for v in reversed(order):
+        bs = into[v]
+        if v in cyclic or any(b.multiplicity is OMEGA or count[b.source] is None for b in bs):
+            count[v] = None
+        else:
+            count[v] = 1 + sum(b.multiplicity * count[b.source] for b in bs)
+    return dict(
+        _order=order,
+        _position={v: i for i, v in enumerate(g.vertices)},
+        _bundle_at={b.name: i for i, b in enumerate(g.bundles)},
+        _out=out,
+        _into=into,
+        _succ=succ,
+        _pred=pred,
+        _classes=classes,
+        _sccs=sccs,
+        _comp_of=comp_of,
+        _cyclic=cyclic,
+        _doubled=frozenset(c for c, vs in enumerate(sccs) if internal[c] > len(vs)),
+        _path_counts=count,
+    )
+
+
+def tables_by_name(g):
+    """The construction tables of ``g``, each position read as its vertex's name."""
+    vs, t = g.vertices, g.__dict__
+
+    def names(ps):
+        return tuple(vs[i] for i in ps)
+
+    return dict(
+        _order=list(names(t["_order"])),
+        _position=t["_position"],
+        _bundle_at=t["_bundle_at"],
+        _out=dict(zip(vs, (tuple(b for b, _ in es) for es in t["_out"]))),
+        _into=dict(zip(vs, (tuple(b for b, _ in es) for es in t["_into"]))),
+        _succ=dict(zip(vs, (names(w for _, w in es) for es in t["_out"]))),
+        _pred=dict(zip(vs, (names(u for _, u in es) for es in t["_into"]))),
+        _classes=dict(zip(vs, t["_classes"])),
+        _comp_of=dict(zip(vs, t["_comp_of"])),
+        _cyclic=frozenset(names(t["_cyclic"])),
+        _doubled=t["_doubled"],
+        _path_counts=dict(zip(vs, t["_path_counts"])),
+    )
+
+
 def tree_walk_line_points(g):
     cyc = set(vertices_on_cycles(g))
     result = []
@@ -417,9 +542,10 @@ def all_rotations_least(cycle):
 
 def walk_count_paths_into(g, v):
     """Per call: the ancestors of v, refused if one is cyclic or fed by omega, then counted."""
-    into = g._into
-    order = _postorder(g._pred, (v,))
-    if not g._cyclic.isdisjoint(order):
+    tables = name_keyed_tables(g)
+    into = tables["_into"]
+    order = walk_by_name(tables["_pred"], (v,))
+    if not tables["_cyclic"].isdisjoint(order):
         return None
     if any(is_omega(b.multiplicity) for u in order for b in into[u]):
         return None
@@ -432,7 +558,7 @@ def walk_count_paths_into(g, v):
 
 def walk_paths_into(g, v):
     """Per call: the paths into v by prepending along its ancestors, sorted."""
-    ancestors = _postorder(g._pred, (v,))
+    ancestors = walk_by_name(name_keyed_tables(g)["_pred"], (v,))
     anc = set(ancestors)
     to_v = {}
     for u in reversed(ancestors):
@@ -448,6 +574,7 @@ def walk_paths_into(g, v):
 
 def per_source_entry_paths(g, t, what):
     """One listing per entering bundle's source, extended by the bundle and sorted again."""
+    tables = name_keyed_tables(g)
     tset = set(t)
     entries = []
     for b in [b for b in g.bundles if b.range in tset and b.source not in tset]:
@@ -455,7 +582,8 @@ def per_source_entry_paths(g, t, what):
         if is_omega(b.multiplicity):
             reason = f"omega bundle {b.name!r} feeds {what} at {b.range!r}"
         elif walk_count_paths_into(g, b.source) is None:
-            cyclic = sorted(g._cyclic.intersection(_postorder(g._pred, (b.source,))))
+            ancestors = walk_by_name(tables["_pred"], (b.source,))
+            cyclic = sorted(tables["_cyclic"].intersection(ancestors))
             if cyclic:
                 reason = f"a cycle through {cyclic[0]!r} reaches {what}"
             else:
@@ -566,7 +694,7 @@ def test_sccs_match_networkx(g):
 def tarjan_sccs(g):
     """SCC partition by iterative Tarjan, each component ordered, components by first vertex."""
     index = g._position
-    adj = g._succ
+    adj = name_keyed_tables(g)["_succ"]
     low = {}
     disc = {}
     on_stack = set()
@@ -616,6 +744,45 @@ def tarjan_sccs(g):
 @given(graphs())
 def test_sccs_match_tarjan_in_order(g):
     assert strongly_connected_components(g) == tarjan_sccs(g)
+
+
+def assert_tables_match_name_keyed_construction(g):
+    """``g``'s tables hold positions, not names, and read as names they are the old tables.
+
+    Only ``_position`` and ``_bundle_at`` are keyed by name; every other table
+    holds positions, component indices, classes, counts and bundles, and each
+    table indexed by position has one entry per vertex.
+    """
+    tables = {k: t for k, t in g.__dict__.items() if k not in ("vertices", "bundles")}
+    by_name = {k for k, t in tables.items() if isinstance(t, dict)}
+    assert by_name == {"_position", "_bundle_at"}
+    stack = [t for k, t in tables.items() if k not in by_name]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple, frozenset)) and not isinstance(x, Bundle):
+            stack.extend(x)
+        else:
+            assert x is None or type(x) is int or isinstance(x, (VertexClass, Bundle)), x
+    n = len(g.vertices)
+    per_vertex = ("_order", "_out", "_into", "_classes", "_comp_of")
+    assert all(len(tables[k]) == n for k in per_vertex + ("_path_counts",))
+    oracle = name_keyed_tables(g)
+    # the partition is read off each vertex's component, which the graph keeps alone
+    assert strongly_connected_components(g) == oracle["_sccs"]
+    # each bundle is paired with its other end, which the old tables mirrored by name
+    assert tables.keys() == oracle.keys() - {"_sccs", "_succ", "_pred"}
+    assert tables_by_name(g) == {k: t for k, t in oracle.items() if k != "_sccs"}
+
+
+@SETTINGS
+@given(st.one_of(graphs(), acyclic_graphs()))
+def test_tables_match_name_keyed_construction(g):
+    assert_tables_match_name_keyed_construction(g)
+
+
+def test_tables_match_name_keyed_construction_on_the_sweep():
+    for g in sampled_sweep_graphs(8):
+        assert_tables_match_name_keyed_construction(g)
 
 
 def scan_cyclic(g):
@@ -866,7 +1033,7 @@ def sink_path_coordinates(g, sys):
     line_edges = set(sys.line_edges)
     seen = bytearray(n)
     coordinates = []
-    for p in _paths_ending(g, (end,), {}):
+    for p in _paths_ending(g, (g.vertex_index(end),), {}):
         k = p.length
         while k and p.edges[k - 1] in line_edges:
             k -= 1
@@ -1513,7 +1680,7 @@ def per_range_normal_form(g, x):
 
     def paths_to_sinks(v):
         ending = {}  # vertex -> its paths to sinks
-        for u in _postorder(g._succ, (v,)):
+        for u in walk_by_name(name_keyed_tables(g)["_succ"], (v,)):
             out = g.out_bundles(u)
             if not out:
                 ending[u] = [vertex_path(u)]
@@ -1831,7 +1998,7 @@ def test_entry_count_matches_listing(g):
 def test_entering_bundles_match_bundle_scan(g):
     for t in vertex_sets(g):
         scan = [b for b in g.bundles if b.range in t and b.source not in t]
-        assert _entering(g, t) == scan
+        assert [b for b, _ in _entering(g, _check_subset(g, t))] == scan
 
 
 @SETTINGS
@@ -2337,10 +2504,10 @@ def test_chain_certificate_matches_admissible_pair_on_every_step(g, data):
         except ContractError:
             refused.add(i)
     try:
-        _certify_chain(g, step)
+        _certify_chain(g, {g.vertex_index(v): k for v, k in step.items()})
     except InternalInvariantError as exc:
         i, v = re.fullmatch(r"pair (\d+) is not admissible at '(\w+)'", str(exc)).groups()
-        h, succ = chain[int(i)], set(g._succ[v])
+        h, succ = chain[int(i)], set(name_keyed_tables(g)["_succ"][v])
         assert int(i) in refused
         assert v in h and not succ <= h or v not in h and not is_singular(g, v) and succ <= h
     else:
@@ -2350,7 +2517,7 @@ def test_chain_certificate_matches_admissible_pair_on_every_step(g, data):
 def test_certificate_rejects_a_regular_vertex_joining_late(monkeypatch):
     # with every vertex taken for singular, v0 of v0 -> v1 does not join
     # with v1 but becomes a line point of its own at the next step
-    monkeypatch.setattr(naimark, "singular_vertices", lambda g: g.vertices)
+    monkeypatch.setattr(naimark, "_singular", lambda g: range(len(g.vertices)))
     g = Graph(("v0", "v1"), (Bundle("e", "v0", "v1"),))
     with pytest.raises(InternalInvariantError, match="pair 1 is not admissible at 'v0'"):
         composition_series(g)
@@ -2430,7 +2597,7 @@ def sorted_listing(g, ends):
     ``ends`` maps a vertex x to tails: () for the path ending at x, or
     one edge leaving x.
     """
-    ancestors = _postorder(g._pred, ends)
+    ancestors = walk_by_name(name_keyed_tables(g)["_pred"], ends)
     tails = {}
     for u in reversed(ancestors):
         acc = list(ends.get(u, ()))
@@ -2446,8 +2613,15 @@ def sorted_listing(g, ends):
 
 
 def listed_texts(g, stops, exits):
-    """The texts of ``_paths_ending(g, stops, exits)``, listed as text rows."""
-    return sorted(stops) + _rows(g, stops, exits, _text_head, "")
+    """The texts of the paths into the vertices ``stops`` or ending with an edge of ``exits``.
+
+    Listed as text rows, as ``_paths_ending`` lists them.
+    """
+    return sorted(stops) + _rows(g, positions(g, stops), exits, _text_head, "")
+
+
+def positions(g, names):
+    return [g.vertex_index(v) for v in names]
 
 
 def assert_listing(g, stops, exits, paths, expected):
@@ -2457,8 +2631,8 @@ def assert_listing(g, stops, exits, paths, expected):
     its texts, and ``render_path`` of the edge rows.
     """
     assert (paths, listed_texts(g, stops, exits)) == expected
-    text_rows = _rows(g, stops, exits, _text_head, "")
-    edge_rows = _rows(g, stops, exits, _edge_head, ())
+    text_rows = _rows(g, positions(g, stops), exits, _text_head, "")
+    edge_rows = _rows(g, positions(g, stops), exits, _edge_head, ())
     assert text_rows == [render_path(g, Path(edges=e)) for e in edge_rows]
 
 
@@ -2476,7 +2650,7 @@ def check_listings(g, each_vertex=True):
         counts = [count_paths_into(g, v) for v in stops]
         if None not in counts and sum(counts) <= limit:
             expected = sorted_listing(g, {v: [()] for v in stops})
-            assert_listing(g, stops, {}, _paths_ending(g, stops, {}), expected)
+            assert_listing(g, stops, {}, _paths_ending(g, positions(g, stops), {}), expected)
             compared += 1
     sets = {line_through(g, v)[0] for v in line_points(g)}
     sets.update(saturate(g, tree_of(g, v)) for v in g.vertices)
@@ -2484,11 +2658,11 @@ def check_listings(g, each_vertex=True):
         n = count_entry_paths(g, t)
         if n is not None and n <= limit:
             ends = {}
-            for b in _entering(g, t):
+            for b, _ in _entering(g, _check_subset(g, t)):
                 refs = [(EdgeRef(b.name, i),) for i in range(b.multiplicity)]
                 ends.setdefault(b.source, []).extend(refs)
             paths = list(entry_paths(g, t, "the set"))
-            exits = _entry_exits(g, t, "the set")
+            exits = _entry_exits(g, _check_subset(g, t), "the set")
             assert_listing(g, (), exits, paths, sorted_listing(g, ends))
             compared += 1
     return compared
@@ -2510,7 +2684,7 @@ def test_listings_order_edge_indices_numerically():
     texts = listed_texts(g, ("w",), {})
     assert texts[1:3] == ["f#0", "f#1"] and texts[11] == "f#10"
     assert texts[12:14] == ["e10f#0", "e10f#1"] and texts[23] == "e2#0f#0"
-    paths = _paths_ending(g, ("w",), {})
+    paths = _paths_ending(g, positions(g, ("w",)), {})
     assert [p.edges for p in paths[11:13]] == [
         (EdgeRef("f", 10),),
         (EdgeRef("e10"), EdgeRef("f")),
@@ -2712,10 +2886,11 @@ def fixpoint_tree_masks(g):
     """Passes over the walk order, each vertex ORing in its successors' masks, until none grows."""
     bit = {v: 1 << g.vertex_index(v) for v in g.vertices}
     tree = dict.fromkeys(g.vertices, 0)
+    order = name_keyed_tables(g)["_order"]
     grew = True
     while grew:
         grew = False
-        for v in g._order:
+        for v in order:
             m = bit[v]
             for b in g.out_bundles(v):
                 m |= tree[b.range]
@@ -2729,12 +2904,12 @@ def fixpoint_tree_masks(g):
 @given(graphs(max_vertices=10))
 def test_tree_masks_match_fixpoint(g):
     bit = {v: 1 << g.vertex_index(v) for v in g.vertices}
-    trees, ranges = ideals._walk_masks(g, bit)
+    trees, ranges = ideals._walk_masks(g)
     assert trees == fixpoint_tree_masks(g)
     assert trees == [sum(bit[w] for w in tree_of(g, v)) for v in g.vertices]
     assert ranges == [
         (bit[v], sum({bit[b.range] for b in g.out_bundles(v)}))
-        for v in g._order
+        for v in name_keyed_tables(g)["_order"]
         if classify_vertex(g, v) is VertexClass.REGULAR
     ]
 
