@@ -25,14 +25,13 @@ from .graph import (
     EdgeRef,
     Graph,
     Path,
+    _count_through,
+    _entering,
+    _least_rotation,
     _paths_ending,
     _singular,
-    count_entry_paths,
-    count_paths_into,
     is_singular,
     render_path,
-    simple_cycles,
-    singular_vertices,
     strip_prefix,
     vertex_path,
 )
@@ -170,21 +169,46 @@ def enumerate_classes(g: Graph) -> ClassCensus:
 
 
 def _census(g: Graph) -> ClassCensus:
-    """``enumerate_classes``, taken afresh."""
+    """``enumerate_classes``, taken afresh from the graph's tables.
+
+    Every vertex path is built as ``_paths_ending`` builds its rows, without
+    ``Path``'s check, and every cycle found here is its own canonical form,
+    so nothing is checked again.
+    """
     if g._doubled:
         return ClassCensus(True, ())
-    classes = []
-    for v in singular_vertices(g):
-        rep = BoundaryPath(vertex_path(v), None)
-        classes.append(TailClass(rep, count_paths_into(g, v)))
-    # every component is a lone cycle or trivial, so every cycle bundle has
-    # multiplicity 1: the simple cycles are the lone cycles, each listed once
-    for cyc in simple_cycles(g):
-        rep = boundary_path(g, vertex_path(g.source_of(cyc[0])), cyc)
-        # a member is a minimal prefix and a rotation: the vertex path at
-        # a cycle vertex, or a path entering the cycle (its SCC) there
-        entries = count_entry_paths(g, [g.source_of(e) for e in cyc])
-        classes.append(TailClass(rep, None if entries is None else len(cyc) + entries))
+    vertices, count, comp, out = g.vertices, g._path_counts, g._comp_of, g._out
+    classes = [
+        TailClass(BoundaryPath(tuple.__new__(Path, (vertices[v], ())), None), count[v])
+        for v in _singular(g)
+    ]
+    # Every component is trivial or a lone cycle, so each vertex on a cycle
+    # emits exactly one bundle inside its component, of multiplicity 1: the
+    # simple cycles are the lone cycles, each walked once from its first vertex.
+    cycles, walked = [], set()
+    for s in sorted(g._cyclic):
+        if comp[s] in walked:
+            continue
+        walked.add(comp[s])
+        steps, v = [], s  # (edge, its source) along the cycle
+        while not steps or v != s:
+            b, w = next(e for e in out[v] if comp[e[1]] == comp[s])
+            steps.append((EdgeRef(b.name, 0), v))
+            v = w
+        # the edges differ, so they order the steps
+        steps = _least_rotation(tuple(steps))
+        cycles.append((tuple(e for e, _ in steps), steps))
+    cycles.sort(key=lambda c: (len(c[0]), c[0]))
+    for cyc, steps in cycles:
+        # a simple cycle is primitive and a vertex prefix absorbs no edge, so the
+        # representative is already canonical; a member is a minimal prefix and a
+        # rotation: the vertex path at a cycle vertex, or a path entering the
+        # cycle (its component) there
+        start = tuple.__new__(Path, (vertices[steps[0][1]], ()))
+        entries = _count_through(count, _entering(g, {u for _, u in steps}))
+        classes.append(
+            TailClass(BoundaryPath(start, cyc), None if entries is None else len(cyc) + entries)
+        )
     return ClassCensus(False, tuple(classes))
 
 

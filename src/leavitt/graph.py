@@ -157,10 +157,12 @@ class Graph:
     paired with the position at its other end, the vertex classes, the
     walk order along successors (each vertex after its successors, except
     on a cycle), the strongly connected component of each vertex, the
-    vertices on cycles, the doubled components and the path counts.  The
-    tables sit in the instance ``__dict__``, as do the class census and
-    the listed admissible sets once a query has derived them; equality,
-    hashing and ``repr`` depend only on ``vertices`` and ``bundles``.
+    vertices on cycles, the doubled components and the path counts.  A
+    quotient or ideal graph skips this pass: ``_restricted`` takes its
+    tables from its parent's by restriction.  The tables sit in the
+    instance ``__dict__``, as do the class census and the listed
+    admissible sets once a query has derived them; equality, hashing and
+    ``repr`` depend only on ``vertices`` and ``bundles``.
     """
 
     vertices: tuple[str, ...]
@@ -349,6 +351,70 @@ class Graph:
 
     def path_range(self, p: Path) -> str:
         return p.vertex if p.length == 0 else self.range_of(p.edges[-1])
+
+
+def _restricted(g: Graph, kept: list[int], vertices: tuple, bundles: tuple) -> Graph:
+    """A graph derived from ``g``, its tables taken from ``g``'s by restriction, with no walk.
+
+    The first ``len(kept)`` of ``vertices`` are the vertices of ``g`` at the
+    positions ``kept``, in declared order; each other vertex is new, a sink or
+    a source with no loop.  The caller guarantees what this takes on trust:
+    the presentation is valid; each component of ``g`` lies wholly inside or
+    wholly outside ``kept``; ``bundles`` holds every bundle of ``g`` between
+    kept vertices and no other bundle between them; and each kept vertex has
+    the path count it has in ``g``.  So nothing is validated, the components,
+    the vertices on cycles and the doubled components are ``g``'s restricted
+    to ``kept``, each new vertex is a trivial component off every cycle, and
+    only the bundle tables are built from ``bundles``.
+    """
+    n, k = len(vertices), len(kept)
+    position = dict(zip(vertices, range(n)))
+    bundle_at, classes = {}, [VertexClass.SINK] * n
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for j, b in enumerate(bundles):
+        s, r = position[b.source], position[b.range]
+        bundle_at[b.name] = j
+        if b.multiplicity is OMEGA:
+            classes[s] = VertexClass.INFINITE_EMITTER
+        elif classes[s] is VertexClass.SINK:
+            classes[s] = VertexClass.REGULAR
+        out[s].append((b, r))
+        into[r].append((b, s))
+    # numbered by first vertex, as _components numbers them: the kept vertices
+    # come first and in g's order, then each new vertex alone
+    number = {}  # each kept component of g -> its number here
+    comp_of = [number.setdefault(g._comp_of[v], len(number)) for v in kept]
+    comp_of += range(len(number), len(number) + n - k)
+    at = [None] * len(g.vertices)  # each kept vertex's position here
+    for i, v in enumerate(kept):
+        at[v] = i
+    count = [g._path_counts[v] for v in kept] + [None] * (n - k)
+    for u in range(k, n):  # what enters a new vertex leaves a kept one
+        heads = _count_through(count, into[u])
+        count[u] = None if heads is None else 1 + heads
+    # A new sink, first, reaches nothing, and nothing reaches a new source,
+    # last.  Between them g's walk order keeps its property: for a bundle
+    # u -> w between components, everything w reaches here (kept vertices
+    # and new sinks) comes before u, as everything w reaches in g does.
+    sinks = [u for u in range(k, n) if not out[u]]
+    order = sinks + [at[v] for v in g._order if at[v] is not None]
+    order += [u for u in range(k, n) if out[u]]
+    derived = object.__new__(Graph)
+    derived.__dict__.update(
+        vertices=vertices,
+        bundles=bundles,
+        _order=order,
+        _position=position,
+        _bundle_at=bundle_at,
+        _out=out,
+        _into=into,
+        _classes=classes,
+        _comp_of=comp_of,
+        _cyclic=frozenset(at[v] for v in g._cyclic if at[v] is not None),
+        _doubled=frozenset(number[c] for c in g._doubled if c in number),
+        _path_counts=count,
+    )
+    return derived
 
 
 def render_edge_ref(g: Graph, ref: EdgeRef) -> str:

@@ -25,6 +25,7 @@ from .graph import (
     _known_subset,
     _ordered,
     _paths_ending,
+    _restricted,
     _rounds,
     _saturated,
     render_path,
@@ -102,6 +103,8 @@ def quotient_with_map(g: Graph, pair: AdmissiblePair) -> tuple[Graph, dict[str, 
     quotient is ``g`` itself, and when H is every vertex it is the empty
     graph; the map is a new dict on every call.
     """
+    if not isinstance(pair, AdmissiblePair):
+        raise ContractError(f"a quotient is taken by an AdmissiblePair, not {pair!r}")
     pair, breaking = _checked_pair(g, pair.h, pair.s)
     if not pair.h:
         # Every infinite emitter has an omega bundle escaping the empty set, so
@@ -113,22 +116,32 @@ def quotient_with_map(g: Graph, pair: AdmissiblePair) -> tuple[Graph, dict[str, 
         return _EMPTY, {}
     hset = set(pair.h)
     gaps = [v for v in breaking if v not in pair.s]
-    kept = [v for v in g.vertices if v not in hset]
+    survivors = [i for i, v in enumerate(g.vertices) if v not in hset]
+    kept = [g.vertices[i] for i in survivors]
     taken = set(kept)
     origin = {v: ("real", v) for v in kept}
     gap_name = {}
+    # "w_" or "f_" and an identifier concatenate to an identifier, and _fresh
+    # keeps the names distinct
     for v in gaps:
         name = _fresh(f"w_{v}", taken)
         gap_name[v] = name
         origin[name] = ("gap", v)
     vertices = tuple(kept) + tuple(gap_name[v] for v in gaps)
+    # H is hereditary, so a bundle with range outside H has its source outside
+    # H, and each component and each cycle lies wholly inside H or outside it:
+    # the survivors keep every bundle between them.  A survivor keeps its path
+    # count, because a path that ends outside H never enters H.  A gap sink
+    # takes the count of its breaking vertex v: its bundles copy those into v,
+    # and if v lies on a cycle, the cycle's bundle into v comes from a vertex
+    # with infinitely many paths.
     bundles = [b for b in g.bundles if b.range not in hset]
     bundle_names = {b.name for b in bundles}
     for b in g.bundles:
         if b.range in gap_name:
             name = _fresh(f"f_{b.name}", bundle_names)
             bundles.append(Bundle(name, b.source, gap_name[b.range], b.multiplicity))
-    return Graph(vertices, tuple(bundles)), origin
+    return _restricted(g, survivors, vertices, tuple(bundles)), origin
 
 
 def quotient_graph(g: Graph, pair: AdmissiblePair) -> Graph:
@@ -165,17 +178,25 @@ def ideal_graph(g: Graph, h) -> Graph:
     if not hs:
         # No bundle has its source in, or enters, the empty set.
         return _EMPTY
+    exits = _entry_exits(g, hs, "the saturation")  # refuses before anything is built
     h = _ordered(g, hs)
     taken, entries = set(h), []
     bundles = [b for b in g.bundles if b.source in taken]
     bundle_names = {b.name for b in bundles}
-    exits = _entry_exits(g, hs, "the saturation")
     for p in _paths_ending(g, (), exits) if exits else ():
-        # bundle names never contain '#', so this keeps entry names valid
+        # a concatenation of identifiers is one, and bundle names have no '#', so
+        # the rendered path with '#' as '_' is an identifier; _fresh keeps the
+        # names distinct
         name = _fresh(render_path(g, p).replace("#", "_"), taken)
         bundles.append(Bundle(_fresh(name, bundle_names), name, g.path_range(p), 1))
         entries.append(name)
-    return Graph(h + tuple(entries), tuple(bundles))
+    # The saturation H is hereditary, so each component and each cycle lies
+    # wholly inside H or outside it, and H keeps every bundle between its
+    # vertices.  A vertex of H keeps its path count: each path into it splits
+    # uniquely at its first edge into H, and an entry source stands for exactly
+    # the part ending with that edge.  When those parts are infinitely many,
+    # _entry_exits has refused.
+    return _restricted(g, sorted(hs), h + tuple(entries), tuple(bundles))
 
 
 def _closed(ranges, m: int) -> int:

@@ -2,8 +2,13 @@
 
 Every test prints exactly one pass/fail line on the real stdout so the
 verdicts survive pytest's capture; failure details ride on the assert.
-The sweeps regenerate the graph family in place of shared storage.
+The sweep criteria share one walk over the graph family, which holds no
+graph (``sweep_pass``); the others regenerate what they read.
 """
+
+import traceback
+
+import pytest
 
 from leavitt import (
     FIXTURES,
@@ -67,36 +72,97 @@ def desc(g):
     return f"[{' '.join(g.vertices)} | {bundles}]"
 
 
-def test_criterion_1(capsys):
-    failures = []
-    total = 0
-    for g in sweep_graphs():
-        total += 1
-        if check_condition4(g) != (check_condition5(g) is not None):
-            failures.append(desc(g))
-    if total != SWEEP_SIZE:
-        failures.append(f"sweep produced {total} graphs, expected {SWEEP_SIZE}")
-    report(capsys, 1, "single-class and line-point conditions agree on the sweep", failures)
+def _conditions_agree(g, witness, counts):
+    """Criterion 1 on one graph: its failures."""
+    return [] if check_condition4(g) == (witness is not None) else [desc(g)]
 
 
-def test_criterion_2(capsys):
+def _positive_realizes_matrices(g, witness, counts):
+    """Criterion 2 on one graph: its failures."""
+    if witness is None:
+        return []
+    counts["positives"] += 1
+    try:
+        units = naimark_isomorphism(g, witness)
+    except GraphError as exc:
+        return [f"{desc(g)}: {exc}"]
+    if dimension(g) != len(units.lam) ** 2:
+        return [f"{desc(g)}: dimension is not |Lambda|^2"]
+    return []
+
+
+def _classes_add(g, witness, counts):
+    """Criterion 5 on one graph: its failures."""
     failures = []
-    positives = 0
-    for g in sweep_graphs():
-        witness = check_condition5(g)
-        if witness is None:
+    total = enumerate_classes(g).count
+    for p in enumerate_admissible_pairs(g):
+        if p.s:
             continue
-        positives += 1
         try:
-            units = naimark_isomorphism(g, witness)
-        except GraphError as exc:
-            failures.append(f"{desc(g)}: {exc}")
+            ideal = ideal_graph(g, p.h)
+        except NotFinitelyPresentableError:
             continue
-        if dimension(g) != len(units.lam) ** 2:
-            failures.append(f"{desc(g)}: dimension is not |Lambda|^2")
-    if positives != POSITIVES:
-        failures.append(f"{positives} positives, expected {POSITIVES}")
-    report(capsys, 2, "positive graphs realize the full matrix algebra", failures)
+        counts["additivity checks"] += 1
+        left = enumerate_classes(ideal).count
+        right = enumerate_classes(quotient_graph(g, p)).count
+        if total is None:
+            if left is not None and right is not None:
+                failures.append(f"{desc(g)} H={p.h}: finite split of an uncountable census")
+        elif left is None or right is None or left + right != total:
+            failures.append(f"{desc(g)} H={p.h}: {left} + {right} != {total}")
+    return failures
+
+
+def _uncountable_agrees(g, witness, counts):
+    """Criterion 8 on one graph: its failures."""
+    return [] if enumerate_classes(g).uncountable == _growth_doubles(g) else [desc(g)]
+
+
+SWEEP_CRITERIA = {
+    1: _conditions_agree,
+    2: _positive_realizes_matrices,
+    5: _classes_add,
+    8: _uncountable_agrees,
+}
+
+
+@pytest.fixture(scope="session")
+def sweep_pass():
+    """One walk over the sweep for the criteria of ``SWEEP_CRITERIA``: failures and counts.
+
+    Each graph goes through every criterion and is dropped, so no graph is
+    held.  An error in one criterion is recorded as its failure alone.
+    """
+    failures = {n: [] for n in SWEEP_CRITERIA}
+    counts = {"graphs": 0, "positives": 0, "additivity checks": 0}
+    for g in sweep_graphs():
+        counts["graphs"] += 1
+        witness = check_condition5(g)
+        for n, check in SWEEP_CRITERIA.items():
+            try:
+                failures[n] += check(g, witness, counts)
+            except Exception:
+                failures[n].append(f"{desc(g)}: {traceback.format_exc()}")
+    return failures, counts
+
+
+def sweep_report(capsys, sweep_pass, n, label, count, expected):
+    """``report`` criterion n of the sweep pass, with a failure if ``count`` is not as expected."""
+    failures, counts = sweep_pass
+    failures = list(failures[n])
+    if counts[count] != expected:
+        failures.append(f"{counts[count]} {count}, expected {expected}")
+    report(capsys, n, label, failures)
+
+
+def test_criterion_1(capsys, sweep_pass):
+    label = "single-class and line-point conditions agree on the sweep"
+    sweep_report(capsys, sweep_pass, 1, label, "graphs", SWEEP_SIZE)
+
+
+def test_criterion_2(capsys, sweep_pass):
+    label = "positive graphs realize the full matrix algebra"
+    sweep_report(capsys, sweep_pass, 2, label, "positives", POSITIVES)
 
 
 def test_criterion_3(capsys):
@@ -165,29 +231,9 @@ def test_criterion_4(capsys):
     report(capsys, 4, "composition factors match the representation blocks", failures)
 
 
-def test_criterion_5(capsys):
-    failures = []
-    checked = 0
-    for g in sweep_graphs():
-        total = enumerate_classes(g).count
-        for p in enumerate_admissible_pairs(g):
-            if p.s:
-                continue
-            try:
-                ideal = ideal_graph(g, p.h)
-            except NotFinitelyPresentableError:
-                continue
-            checked += 1
-            left = enumerate_classes(ideal).count
-            right = enumerate_classes(quotient_graph(g, p)).count
-            if total is None:
-                if left is not None and right is not None:
-                    failures.append(f"{desc(g)} H={p.h}: finite split of an uncountable census")
-            elif left is None or right is None or left + right != total:
-                failures.append(f"{desc(g)} H={p.h}: {left} + {right} != {total}")
-    if checked != ADDITIVITY_CHECKS:
-        failures.append(f"{checked} additivity checks, expected {ADDITIVITY_CHECKS}")
-    report(capsys, 5, "class counts add across ideal and quotient", failures)
+def test_criterion_5(capsys, sweep_pass):
+    label = "class counts add across ideal and quotient"
+    sweep_report(capsys, sweep_pass, 5, label, "additivity checks", ADDITIVITY_CHECKS)
 
 
 def test_criterion_6(capsys):
@@ -335,13 +381,6 @@ def _growth_doubles(g, horizon=12):
     return False
 
 
-def test_criterion_8(capsys):
-    failures = []
-    total = 0
-    for g in sweep_graphs():
-        total += 1
-        if enumerate_classes(g).uncountable != _growth_doubles(g):
-            failures.append(desc(g))
-    if total != SWEEP_SIZE:
-        failures.append(f"sweep produced {total} graphs, expected {SWEEP_SIZE}")
-    report(capsys, 8, "uncountability agrees with the path-growth oracle", failures)
+def test_criterion_8(capsys, sweep_pass):
+    label = "uncountability agrees with the path-growth oracle"
+    sweep_report(capsys, sweep_pass, 8, label, "graphs", SWEEP_SIZE)

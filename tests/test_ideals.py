@@ -1,5 +1,6 @@
 """Admissible pairs, quotient graphs, ideal graphs, and the graded lattice."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from leavitt import (
     OMEGA,
     AdmissiblePair,
     Bundle,
+    ClassCensus,
     Graph,
     admissible_pair,
     boundary,
@@ -16,12 +18,14 @@ from leavitt import (
     check_condition5,
     enumerate_admissible_pairs,
     enumerate_classes,
+    graph,
     ideal_graph,
     ideals,
     is_hereditary,
     is_saturated,
     quotient_graph,
     quotient_with_map,
+    tree_of,
 )
 from leavitt.errors import (
     ContractError,
@@ -30,7 +34,7 @@ from leavitt.errors import (
     UnknownNameError,
 )
 
-from sweeputil import random_graph
+from sweeputil import random_graph, sampled_sweep_graphs
 
 LINE3 = FIXTURES["LINE3"]
 ENTRY4 = FIXTURES["ENTRY4"]
@@ -177,13 +181,13 @@ def test_quotient_trivial_pairs():
 def test_trivial_derived_graphs_build_no_graph(monkeypatch):
     empty = Graph(())
     built = []
-    post_init = Graph.__post_init__
+    restricted = ideals._restricted
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(g, *args):
+        built.append(g)
+        return restricted(g, *args)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    monkeypatch.setattr(ideals, "_restricted", counted)
     for g in FIXTURES.values():
         assert ideal_graph(g, g.vertices) is g
         assert ideal_graph(g, ()) == empty
@@ -195,6 +199,40 @@ def test_trivial_derived_graphs_build_no_graph(monkeypatch):
     ideal_graph(FORK, {"v"})
     quotient_graph(FORK, pair(FORK, {"v"}))
     assert len(built) == 2  # every other derived graph is still built
+
+
+@pytest.mark.parametrize("value", [(("v",), ()), None, FORK.vertices, {"h": ("v",)}])
+def test_a_quotient_refuses_what_is_no_pair(value):
+    for call in (quotient_graph, quotient_with_map):
+        with pytest.raises(ContractError, match=f"AdmissiblePair, not {re.escape(repr(value))}$"):
+            call(FORK, value)
+
+
+def test_derived_graphs_and_censuses_read_the_parent_tables(monkeypatch):
+    graphs = [*FIXTURES.values(), *sampled_sweep_graphs(64)]  # built before the patches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived graph or a census re-derived a known fact")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(graph, "_components", refuse)
+    for module in (graph, boundary):
+        monkeypatch.setattr(module, "simple_cycles", refuse, raising=False)
+    monkeypatch.setattr(boundary, "boundary_path", refuse)
+    built = 0
+    for g in graphs:
+        derived = [g]
+        for p in enumerate_admissible_pairs(g):
+            derived.append(quotient_with_map(g, p)[0])
+        for h in {tree_of(g, v) for v in g.vertices}:  # hereditary, listed or not
+            try:
+                derived.append(ideal_graph(g, h))
+            except NotFinitelyPresentableError:
+                pass
+        for d in derived:
+            assert isinstance(enumerate_classes(d), ClassCensus)
+        built += sum(d.vertices not in ((), g.vertices) for d in derived)
+    assert built > len(graphs)
 
 
 def test_listed_pairs_are_not_checked_again(monkeypatch):

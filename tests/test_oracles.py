@@ -205,7 +205,7 @@ from leavitt.boundary import (  # noqa: E402
     shift,
     st_equivalent,
 )
-from leavitt import ideals  # noqa: E402
+from leavitt import boundary, ideals  # noqa: E402
 from leavitt import naimark  # noqa: E402
 from leavitt.cli import _emit, _matrix_rows  # noqa: E402
 from leavitt.errors import (  # noqa: E402
@@ -2071,17 +2071,53 @@ def derived_outcome(build, g, arg):
         return "refused", str(err)
 
 
+def assert_walk_order(g):
+    """``g._order`` lists each vertex once, after every component its bundles enter from another.
+
+    So a vertex off every cycle comes after its successors, and for a bundle
+    u -> w between components everything w reaches comes before u, which
+    the passes over the walk order (``_rounds``, ``_walk_masks``,
+    ``line_points``) read.
+    """
+    order, comp = g._order, g._comp_of
+    assert sorted(order) == list(range(len(g.vertices))), g
+    place, last = {}, {}  # each vertex's place in the order; each component's last place
+    for i, v in enumerate(order):
+        place[v] = last[comp[v]] = i
+    for u, es in enumerate(g._out):
+        assert all(last[comp[w]] < place[u] for _, w in es if comp[w] != comp[u]), (g, u)
+
+
+def assert_tables_match_fresh_construction(d, fresh):
+    """Every table of the derived graph ``d`` equals that of ``fresh``, a ``Graph`` built from the
+    same presentation, the walk order apart, which need only be one (``assert_walk_order``); and
+    ``d``'s census, taken afresh, equals the census of the replaced body."""
+    kept = ("_census", "_certified")  # facts a query derives later, not tables
+    tables = {k: t for k, t in d.__dict__.items() if k not in kept}
+    fresh = {k: t for k, t in fresh.__dict__.items() if k not in kept}
+    assert tables.keys() == fresh.keys(), d
+    assert {**tables, "_order": None} == {**fresh, "_order": None}, d
+    assert_walk_order(d)
+    assert boundary._census(d) == uncached_census(d), d
+
+
 def assert_derived_graphs_match_rebuilt(g, extra_hereditary=()):
-    """Each quotient by an admissible pair, and each ideal graph of a pair's H or an extra set."""
+    """Each quotient by an admissible pair, and each ideal graph of a pair's H or an extra set,
+    with every table (``assert_tables_match_fresh_construction``)."""
     pairs = enumerate_admissible_pairs(g)
     for p in pairs:
-        assert quotient_with_map(g, p) == rebuilt_quotient_with_map(g, p), (g, p)
+        built, rebuilt = quotient_with_map(g, p), rebuilt_quotient_with_map(g, p)
+        assert built == rebuilt, (g, p)
+        assert_tables_match_fresh_construction(built[0], rebuilt[0])
     for h in [p.h for p in pairs if not p.s] + [*extra_hereditary]:
         n = count_entry_paths(g, saturate(g, h))
         if n is not None and n > LISTING_LIMIT:
             continue
         built = derived_outcome(ideal_graph, g, h)
-        assert built == derived_outcome(rebuilt_ideal_graph, g, h), (g, h)
+        rebuilt = derived_outcome(rebuilt_ideal_graph, g, h)
+        assert built == rebuilt, (g, h)
+        if isinstance(built, Graph):
+            assert_tables_match_fresh_construction(built, rebuilt)
 
 
 @SETTINGS
